@@ -7,8 +7,7 @@ from .experiment import ExperimentConfig, run_base_training, run_continual, run_
 from .gram import GramSignature, gram_distance, gram_matrix, signature, signatures
 from .memory import DynamicMemory, InsertOutcome, MemoryItem
 from .model import ConvNetClassifier, gradient_check
-from .strategies import (DMStrategy, EWCStrategy, NaiveStrategy, StepReport,
-                         make_strategy, train_base, train_full)
+from .strategies import DMStrategy, EWCStrategy, NaiveStrategy, StepReport, make_strategy
 from .validation import ConfigError, ShapeError, StateError
 
 __version__ = "0.1.0"
@@ -19,7 +18,6 @@ __all__ = [
     "GramSignature", "gram_distance", "gram_matrix", "signature", "signatures",
     "DynamicMemory", "InsertOutcome", "MemoryItem",
     "ConvNetClassifier", "gradient_check",
-    "DMStrategy", "EWCStrategy", "NaiveStrategy", "StepReport",
-    "make_strategy", "train_base", "train_full",
+    "DMStrategy", "EWCStrategy", "NaiveStrategy", "StepReport", "make_strategy",
     "ConfigError", "ShapeError", "StateError",
 ]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,8 +25,10 @@ DEFAULT_SWEEP_SIZES = (16, 32, 64, 80, 128, 160)
 
 
 def _read_config_file(path):
-    """Flat `key = value` config file; flags override its values."""
-    values = {}
+    """Flat `key = value` config file as flag tokens: each key is a flag of
+    the subcommand without its dashes, `key = true` / `key = false` sets or
+    omits a bare flag, and a value of several words gives several arguments."""
+    tokens = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -33,14 +36,35 @@ def _read_config_file(path):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
+        flag = "--" + key.strip().replace("_", "-")
+        value = value.strip()
+        if value.lower() == "true":
+            tokens.append(flag)
+        elif value.lower() != "false":
+            tokens += [flag, *value.split()]
+    return tokens
+
+
+def _checked(convert, valid, what):
+    """argparse type: convert, then reject values that are not `what`."""
+    def parse(text):
+        value = convert(text)
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__
+    return parse
+
+
+COUNT = _checked(int, lambda v: v >= 1, "a positive integer")
+MEMORY_SIZE = _checked(int, lambda v: v >= 2 and v % 2 == 0, "an even integer >= 2")
+FINITE = _checked(float, math.isfinite, "a finite number")
 
 
 def _add_common(p):
     p.add_argument("--config", help="flat key = value config file (flags override)")
     p.add_argument("--seed", type=int, default=100, help="first seed")
-    p.add_argument("--seeds", type=int, default=5, help="number of seeded repetitions")
+    p.add_argument("--seeds", type=COUNT, default=5, help="number of seeded repetitions")
     p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
 
 
@@ -57,15 +81,15 @@ def _add_corpus_flags(p):
 
 def _add_training_flags(p):
     p.add_argument("--corpus", type=Path, required=True, help="corpus directory")
-    p.add_argument("--batch", type=int, default=8, help="input-mini-batch size B")
-    p.add_argument("--train-batch", type=int, default=8, help="training-mini-batch size T")
-    p.add_argument("--lr", type=float, default=3e-3,
+    p.add_argument("--batch", type=COUNT, default=8, help="input-mini-batch size B")
+    p.add_argument("--train-batch", type=COUNT, default=8, help="training-mini-batch size T")
+    p.add_argument("--lr", type=FINITE, default=3e-3,
                    help="learning rate for base and full training")
-    p.add_argument("--stream-lr", type=float, default=5e-4,
+    p.add_argument("--stream-lr", type=FINITE, default=5e-4,
                    help="learning rate for the continual stream phase")
-    p.add_argument("--base-epochs", type=int, default=6)
-    p.add_argument("--full-epochs", type=int, default=12)
-    p.add_argument("--probe-every", type=int, default=30)
+    p.add_argument("--base-epochs", type=COUNT, default=6)
+    p.add_argument("--full-epochs", type=COUNT, default=12)
+    p.add_argument("--probe-every", type=COUNT, default=30)
 
 
 def build_parser():
@@ -88,8 +112,8 @@ def build_parser():
     _add_common(p)
     _add_training_flags(p)
     p.add_argument("--strategy", required=True, choices=("naive", "ewc", "ewc-fbn", "dm"))
-    p.add_argument("--memory", type=int, default=32, help="memory size M")
-    p.add_argument("--lambda", dest="ewc_lambda", type=float, default=3000.0,
+    p.add_argument("--memory", type=MEMORY_SIZE, default=32, help="memory size M")
+    p.add_argument("--lambda", dest="ewc_lambda", type=FINITE, default=3000.0,
                    help="EWC penalty weight")
     p.add_argument("--base", type=Path, default=None,
                    help="directory holding base checkpoints (default: --out)")
@@ -98,7 +122,7 @@ def build_parser():
     p = sub.add_parser("sweep-memory", help="run the dm strategy across memory sizes")
     _add_common(p)
     _add_training_flags(p)
-    p.add_argument("--sizes", type=int, nargs="+", default=list(DEFAULT_SWEEP_SIZES))
+    p.add_argument("--sizes", type=MEMORY_SIZE, nargs="+", default=list(DEFAULT_SWEEP_SIZES))
     p.add_argument("--base", type=Path, default=None)
 
     p = sub.add_parser("full-training", help="epoch-based upper bound on all data")
@@ -208,21 +232,12 @@ def cmd_continual(args):
 def cmd_sweep_memory(args):
     cfg = _experiment_config(args)
     corpus = _load_corpus(args, cfg)
-    table_rows = []
-    for size in args.sizes:
-        out_dir = args.out / f"dm_M{size}"
-        summaries, agg = _continual_runs(args, cfg, corpus, "dm", size, out_dir)
-        accs = [agg[f"acc_{t}"]["mean"] for t in TASKS]
-        steps_c = [s["steps_to_c"] for s in summaries]
-        table_rows.append({
-            "M": size, "acc_A": accs[0], "acc_B": accs[1], "acc_C": accs[2],
-            "acc_avg": float(np.mean(accs)),
-            "steps_to_c": float(np.mean(steps_c)),
-        })
     lines = ["M,acc_A,acc_B,acc_C,acc_avg,steps_to_c"]
-    for r in table_rows:
-        lines.append(f"{r['M']},{r['acc_A']},{r['acc_B']},{r['acc_C']},"
-                     f"{r['acc_avg']},{r['steps_to_c']}")
+    for size in args.sizes:
+        summaries, agg = _continual_runs(args, cfg, corpus, "dm", size, args.out / f"dm_M{size}")
+        accs = [agg[f"acc_{t}"]["mean"] for t in TASKS]
+        steps_c = float(np.mean([s["steps_to_c"] for s in summaries]))
+        lines.append(",".join(str(v) for v in (size, *accs, float(np.mean(accs)), steps_c)))
     (args.out / "memory_sweep.csv").write_text("\n".join(lines) + "\n")
     return 0
 
@@ -255,33 +270,20 @@ COMMANDS = {
 def main(argv=None):
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    # apply config-file values as defaults before parsing flags
-    if "--config" in argv:
-        cfg_path = argv[argv.index("--config") + 1]
+    args = parser.parse_args(argv)
+    if args.config is not None:
         try:
-            file_values = _read_config_file(cfg_path)
+            file_flags = _read_config_file(args.config)
         except (OSError, ConfigError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        known = {a.dest: a for sp in parser._subparsers._group_actions
-                 for a in sp.choices.values() for a in a._actions}
-        defaults = {}
-        for key, raw in file_values.items():
-            if key not in known:
-                print(f"error: unknown config key {key!r}", file=sys.stderr)
-                return 2
-            action = known[key]
-            if action.type is not None:
-                defaults[key] = action.type(raw)
-            elif isinstance(action.const, bool) or isinstance(action.default, bool):
-                defaults[key] = raw.lower() in ("1", "true", "yes")
-            else:
-                defaults[key] = raw
-        for sp in parser._subparsers._group_actions:
-            for sub in sp.choices.values():
-                sub.set_defaults(**{k: v for k, v in defaults.items()
-                                    if any(a.dest == k for a in sub._actions)})
-    args = parser.parse_args(argv)
+        # argv[0] is the subcommand; the file's flags go right after it, so
+        # the explicit flags that follow override them
+        args, unknown = parser.parse_known_args(argv[:1] + file_flags + argv[1:])
+        if unknown:
+            print(f"error: {args.config}: not flags of {args.command}: {' '.join(unknown)}",
+                  file=sys.stderr)
+            return 2
     try:
         return COMMANDS[args.command](args)
     except (ConfigError, OSError, ValueError, RuntimeError) as exc:

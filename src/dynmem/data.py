@@ -14,11 +14,13 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .validation import ConfigError, ShapeError
+from .validation import ConfigError, ShapeError, read_container, write_container
 
 TASKS = ("A", "B", "C")
 TASK_ATTRS = {"A": ("smooth", "low"), "B": ("sharp", "low"), "C": ("sharp", "high")}
 CORPUS_MAGIC = b"DMCORPUS1\n"
+CORPUS_FIELDS = (("ids", "int64"), ("tasks", "uint8"), ("labels", "uint8"),
+                 ("pixels", "float32"))
 SPLITS = ("base", "continuous", "validation", "test")
 
 
@@ -282,10 +284,9 @@ def emit_stream(continuous, schedule, rng):
 def save_corpus(corpus, out_dir):
     """Write one binary container per split plus a human-readable manifest.
 
-    Split file layout: magic line, 8-byte little-endian header length, JSON
-    header {version, image_size, count, seed, config_hash, fields}, then raw
-    row-major array bytes in header field order (ids int64, tasks uint8
-    codes, labels uint8, pixels float32).
+    Split file (validation.write_container): JSON header {version,
+    image_size, count, seed, config_hash, fields}, then the arrays in header
+    field order (ids int64, tasks uint8 codes, labels uint8, pixels float32).
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg_hash = corpus.config.config_hash()
@@ -306,25 +307,20 @@ def save_corpus(corpus, out_dir):
             "count": len(ds),
             "seed": corpus.seed,
             "config_hash": cfg_hash,
-            "fields": [
-                {"name": "ids", "dtype": "int64"},
-                {"name": "tasks", "dtype": "uint8"},
-                {"name": "labels", "dtype": "uint8"},
-                {"name": "pixels", "dtype": "float32"},
-            ],
+            "fields": [{"name": name, "dtype": dt} for name, dt in CORPUS_FIELDS],
         }
-        blob = json.dumps(header, sort_keys=True).encode() + b"\n"
-        with open(out_dir / f"{split}.dmc", "wb") as f:
-            f.write(CORPUS_MAGIC)
-            f.write(len(blob).to_bytes(8, "little"))
-            f.write(blob)
-            f.write(ds.ids.astype(np.int64).tobytes())
-            f.write(task_codes.tobytes())
-            f.write(ds.labels.astype(np.uint8).tobytes())
-            f.write(np.ascontiguousarray(ds.images, dtype=np.float32).tobytes())
+        write_container(out_dir / f"{split}.dmc", CORPUS_MAGIC, header,
+                        [ds.ids.astype(np.int64), task_codes, ds.labels.astype(np.uint8),
+                         ds.images.astype(np.float32, copy=False)])
     with open(out_dir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _split_layout(header):
+    count, s = header["count"], header["image_size"]
+    shapes = {"pixels": (count, 1, s, s)}
+    return [(name, shapes.get(name, (count,)), dt) for name, dt in CORPUS_FIELDS]
 
 
 def load_corpus(corpus_dir):
@@ -341,20 +337,11 @@ def load_corpus(corpus_dir):
         raise ConfigError("corpus manifest config hash mismatch")
     splits = {}
     for split in SPLITS:
-        with open(corpus_dir / f"{split}.dmc", "rb") as f:
-            if f.read(len(CORPUS_MAGIC)) != CORPUS_MAGIC:
-                raise ConfigError(f"{split}.dmc is not a corpus container")
-            hlen = int.from_bytes(f.read(8), "little")
-            header = json.loads(f.read(hlen))
-            if header["config_hash"] != manifest["config_hash"]:
-                raise ConfigError(f"{split}.dmc config hash differs from the manifest")
-            count = header["count"]
-            s = header["image_size"]
-            ids = np.frombuffer(f.read(count * 8), dtype=np.int64).copy()
-            tasks = np.frombuffer(f.read(count), dtype=np.uint8)
-            labels = np.frombuffer(f.read(count), dtype=np.uint8).copy()
-            pixels = np.frombuffer(f.read(count * s * s * 4), dtype=np.float32)
-            images = pixels.reshape(count, 1, s, s).copy()
-        splits[split] = Dataset(images, labels, np.array([TASKS[c] for c in tasks]), ids)
+        path = corpus_dir / f"{split}.dmc"
+        header, a = read_container(path, CORPUS_MAGIC, "corpus container", _split_layout)
+        if header["config_hash"] != manifest["config_hash"]:
+            raise ConfigError(f"{path} config hash differs from the manifest")
+        splits[split] = Dataset(a["pixels"], a["labels"],
+                                np.array([TASKS[c] for c in a["tasks"]]), a["ids"])
     return Corpus(splits["base"], splits["continuous"], splits["validation"],
                   splits["test"], cfg, manifest["seed"])

@@ -46,7 +46,7 @@ class ExperimentConfig:
             raise ConfigError("memory size M must be >= 2")
         for name in ("n_seeds", "input_batch_size", "train_batch_size",
                      "base_epochs", "full_epochs", "probe_every"):
-            if getattr(self, name) < 1 and name not in ("base_epochs", "full_epochs"):
+            if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
 
     def seeds(self):
@@ -121,6 +121,8 @@ def run_continual(corpus, base_model, strategy_name, cfg, seed):
         for task, pos in schedule.checkpoint_positions().items()
     }
     probe_at = set(ev.probe_steps(total_steps, cfg.probe_every))
+    step_metrics = ("loss", "batch_accuracy", "n_misclassified") if strategy_name == "dm" \
+        else ("loss", "batch_accuracy")
     rows = []
     rmatrix = np.full((len(ev.R_ROWS), len(TASKS)), np.nan)
     rmatrix[0] = _task_accuracies(base_model, corpus.test)
@@ -129,16 +131,10 @@ def run_continual(corpus, base_model, strategy_name, cfg, seed):
         lo = (step - 1) * b
         report = strategy.step(stream.images[lo : lo + b], stream.labels[lo : lo + b],
                                tasks=stream.tasks[lo : lo + b], rng=rng)
-        rows.append({"step": step, "strategy": strategy.name, "seed": seed,
-                     "task": "stream", "split": "train", "metric": "loss",
-                     "value": report.loss})
-        rows.append({"step": step, "strategy": strategy.name, "seed": seed,
-                     "task": "stream", "split": "train", "metric": "batch_accuracy",
-                     "value": report.batch_accuracy})
-        if strategy_name == "dm":
+        for metric in step_metrics:
             rows.append({"step": step, "strategy": strategy.name, "seed": seed,
-                         "task": "stream", "split": "train", "metric": "n_misclassified",
-                         "value": report.n_misclassified})
+                         "task": "stream", "split": "train", "metric": metric,
+                         "value": getattr(report, metric)})
         if step in probe_at:
             rows += ev.validation_probe(model, corpus.validation, step, strategy.name, seed)
         for task, ckpt_step in checkpoint_steps.items():

@@ -49,14 +49,16 @@ def gram_distance(a, b):
     return total
 
 
+def signatures_from_taps(taps, model_version):
+    """One signature per image from the tap list of a forward pass."""
+    return [GramSignature([gram_matrix(t[i]) for t in taps], model_version)
+            for i in range(taps[0].shape[0])]
+
+
 def signatures(model, X):
     """Gram signatures for a batch of images from a single eval-mode forward pass."""
     _, taps = model.forward_with_taps(X, train=False)
-    n = taps[0].shape[0]
-    return [
-        GramSignature([gram_matrix(t[i]) for t in taps], model_version=model.version)
-        for i in range(n)
-    ]
+    return signatures_from_taps(taps, model.version)
 
 
 def signature(model, image):

@@ -51,19 +51,14 @@ class DynamicMemory:
         return sum(1 for it in self.items if it.label == label)
 
     def argmin_replacement_index(self, label, signature):
-        """Index of the same-class item with minimal gram distance to the
-        incoming signature; ties break to the lowest index (oldest)."""
-        best = None
-        best_d = None
-        for i, it in enumerate(self.items):
-            if it.label != label:
-                continue
-            d = gram_distance(signature, it.signature)
-            if best is None or d < best_d:
-                best, best_d = i, d
-        if best is None:
+        """(index, distance) of the same-class item with minimal gram distance
+        to the incoming signature; ties break to the lowest index (oldest)."""
+        candidates = [(gram_distance(signature, it.signature), i)
+                      for i, it in enumerate(self.items) if it.label == label]
+        if not candidates:
             raise StateError(f"no stored item of class {label} to replace")
-        return best
+        distance, index = min(candidates)
+        return index, distance
 
     def insert(self, image, label, signature, step, task_id="?"):
         """Store one incoming sample; append while the class quota is open,
@@ -72,8 +67,7 @@ class DynamicMemory:
         if self.class_count(label) < self.quota:
             self.items.append(item)
             return InsertOutcome("appended", len(self.items) - 1)
-        idx = self.argmin_replacement_index(label, signature)
-        dist = gram_distance(signature, self.items[idx].signature)
+        idx, dist = self.argmin_replacement_index(label, signature)
         item.distance = dist
         self.items[idx] = item
         return InsertOutcome("replaced", idx, dist)
@@ -102,9 +96,3 @@ class DynamicMemory:
         for it in self.items:
             lines.append(f"{it.step}\t{it.label}\t{it.task_id}\t{it.distance!r}")
         return "\n".join(lines) + "\n"
-
-    def task_counts(self):
-        counts = {}
-        for it in self.items:
-            counts[it.task_id] = counts.get(it.task_id, 0) + 1
-        return counts

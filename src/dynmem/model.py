@@ -10,12 +10,12 @@ bias before a train-mode norm would be a dead parameter.
 from __future__ import annotations
 
 import copy
-import json
 
 import numpy as np
 
 from . import nn
-from .validation import ConfigError, StateError, check_images, check_labels
+from .validation import (ConfigError, StateError, check_images, check_labels,
+                         read_container, write_container)
 
 CHECKPOINT_MAGIC = b"DMCKPT1\n"
 CHECKPOINT_VERSION = 2  # 2: convs carry no bias
@@ -92,19 +92,15 @@ class ConvNetClassifier:
 
     # -- parameter access --------------------------------------------------
 
+    def _named(self, slot):
+        return {f"{lname}.{name}": a for lname, layer in zip(self.layer_names, self.layers)
+                for name, a in getattr(layer, slot).items()}
+
     def named_params(self):
-        out = {}
-        for lname, layer in zip(self.layer_names, self.layers):
-            for pname, p in layer.params.items():
-                out[f"{lname}.{pname}"] = p
-        return out
+        return self._named("params")
 
     def named_grads(self):
-        out = {}
-        for lname, layer in zip(self.layer_names, self.layers):
-            for pname, g in layer.grads.items():
-                out[f"{lname}.{pname}"] = g
-        return out
+        return self._named("grads")
 
     @property
     def n_params(self):
@@ -113,9 +109,6 @@ class ConvNetClassifier:
     def zero_grads(self):
         for layer in self.layers:
             layer.zero_grads()
-
-    def norm_layers(self):
-        return [l for l in self.layers if isinstance(l, nn.BatchNorm2d)]
 
     def running_stats(self):
         out = {}
@@ -131,9 +124,8 @@ class ConvNetClassifier:
     # -- forward / backward ------------------------------------------------
 
     def _mode(self, train):
-        if not train:
-            return "eval"
-        return "frozen" if self.norm_frozen else "train"
+        # frozen norm trains in eval mode; train_step drops its scale/shift grads
+        return "train" if train and not self.norm_frozen else "eval"
 
     def forward_with_taps(self, X, train=False):
         """One forward pass returning (logits (N,), taps list of (N,C,H,W))."""
@@ -279,32 +271,17 @@ class ConvNetClassifier:
                 for n in names
             ],
         }
-        blob = json.dumps(header, sort_keys=True).encode() + b"\n"
-        with open(path, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(len(blob).to_bytes(8, "little"))
-            f.write(blob)
-            for n in names:
-                f.write(np.ascontiguousarray(arrays[n]).tobytes())
+        write_container(path, CHECKPOINT_MAGIC, header, [arrays[n] for n in names])
 
     @classmethod
     def load(cls, path):
-        with open(path, "rb") as f:
-            magic = f.read(len(CHECKPOINT_MAGIC))
-            if magic != CHECKPOINT_MAGIC:
-                raise ConfigError(f"{path} is not a model checkpoint")
-            hlen = int.from_bytes(f.read(8), "little")
-            header = json.loads(f.read(hlen))
-            if header.get("version") != CHECKPOINT_VERSION:
-                raise ConfigError(
-                    f"{path} has checkpoint format version {header.get('version')}, "
-                    f"expected {CHECKPOINT_VERSION}; rerun train-base")
-            arrays = {}
-            for spec in header["arrays"]:
-                shape = tuple(spec["shape"])
-                dt = np.dtype(spec["dtype"])
-                n_bytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-                arrays[spec["name"]] = np.frombuffer(f.read(n_bytes), dtype=dt).reshape(shape).copy()
+        header, arrays = read_container(
+            path, CHECKPOINT_MAGIC, "model checkpoint",
+            lambda h: [(a["name"], a["shape"], a["dtype"]) for a in h["arrays"]])
+        if header.get("version") != CHECKPOINT_VERSION:
+            raise ConfigError(
+                f"{path} has checkpoint format version {header.get('version')}, "
+                f"expected {CHECKPOINT_VERSION}; rerun train-base")
         hyper = dict(header["hyper"])
         hyper["channels"] = tuple(hyper["channels"])
         model = cls(**hyper)
@@ -314,16 +291,14 @@ class ConvNetClassifier:
             s[...] = arrays[name]
         model.version = header["model_version"]
         model.norm_frozen = header["norm_frozen"]
+        stored = {pre: {n[len(pre):]: a for n, a in arrays.items() if n.startswith(pre)}
+                  for pre in ("fisher.", "anchor.")}
         if header["has_fisher"]:
-            model._fisher = {n[len("fisher."):]: a for n, a in arrays.items()
-                             if n.startswith("fisher.")}
+            model._fisher = stored["fisher."]
         if header["has_anchor"]:
-            anchor = {}
-            for n, a in arrays.items():
-                if n.startswith("anchor."):
-                    a.setflags(write=False)
-                    anchor[n[len("anchor."):]] = a
-            model._anchor = anchor
+            model._anchor = stored["anchor."]
+            for a in model._anchor.values():
+                a.setflags(write=False)
         model.reset_optimizer()
         return model
 

@@ -6,8 +6,6 @@ default; pass float64 arrays/parameters for gradient-check fidelity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import expit
 
@@ -22,32 +20,6 @@ def conv_output_size(size, kernel, stride, padding):
             f"kernel {kernel}, stride {stride}, padding {padding}"
         )
     return out
-
-
-def conv2d(x, kernels, bias, stride=1, padding=0):
-    """Direct 2-D cross-correlation.
-
-    x: (C_in, H, W) or (N, C_in, H, W); kernels: (C_out, C_in, k, k);
-    bias: (C_out,). Returns the same batch arrangement as the input.
-    """
-    x = np.asarray(x)
-    single = x.ndim == 3
-    if single:
-        x = x[None]
-    kernels = np.asarray(kernels)
-    bias = np.asarray(bias)
-    if x.ndim != 4 or kernels.ndim != 4:
-        raise ShapeError(f"conv2d expects 4-d input/kernels, got {x.shape}, {kernels.shape}")
-    if x.shape[1] != kernels.shape[1]:
-        raise ShapeError(
-            f"input channels {x.shape[1:]} do not match kernel channels {kernels.shape}"
-        )
-    k = kernels.shape[2]
-    if k % 2 != 1 or kernels.shape[3] != k:
-        raise ShapeError(f"kernel must be square with odd size, got {kernels.shape}")
-    out = _conv_forward(x, kernels, stride, padding)
-    out += bias[None, :, None, None]
-    return out[0] if single else out
 
 
 def _conv_forward(x, w, stride, padding):
@@ -114,6 +86,8 @@ class Conv2d(Layer):
     def __init__(self, in_channels, out_channels, kernel_size=3, stride=1, padding=1,
                  rng=None, dtype=np.float32):
         super().__init__()
+        if kernel_size % 2 != 1:
+            raise ShapeError(f"kernel must have odd size, got {kernel_size}")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
@@ -144,11 +118,10 @@ class Conv2d(Layer):
 
 
 class BatchNorm2d(Layer):
-    """Per-channel batch normalization with train / eval / frozen modes.
+    """Per-channel batch normalization with train / eval modes.
 
     train: normalize by batch statistics, update running stats with momentum.
     eval: normalize by running statistics.
-    frozen: as eval, and gradients to scale/shift are blocked.
     """
 
     def __init__(self, channels, momentum=0.1, eps=1e-5, dtype=np.float32):
@@ -178,9 +151,8 @@ class BatchNorm2d(Layer):
 
     def backward(self, grad_out, mode):
         xhat, inv_std = self._cache
-        if mode != "frozen":
-            self.grads["scale"] += (grad_out * xhat).sum(axis=(0, 2, 3))
-            self.grads["shift"] += grad_out.sum(axis=(0, 2, 3))
+        self.grads["scale"] += (grad_out * xhat).sum(axis=(0, 2, 3))
+        self.grads["shift"] += grad_out.sum(axis=(0, 2, 3))
         g = grad_out * self.params["scale"][None, :, None, None]
         if mode == "train":
             m = grad_out.shape[0] * grad_out.shape[2] * grad_out.shape[3]
@@ -246,54 +218,33 @@ def bce_loss(logit, label):
     return loss, grad
 
 
-@dataclass
-class AdamState:
-    """Adam moments and hyperparameters for one parameter array."""
-
-    first_moment: np.ndarray
-    second_moment: np.ndarray
-    step_count: int = 0
-    learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    @classmethod
-    def like(cls, param, **hyper):
-        return cls(np.zeros_like(param), np.zeros_like(param), **hyper)
-
-
-def adam_step(params, grads, state):
-    """One Adam update with bias correction. Returns (new_params, state)."""
-    check_same_shape(params, grads, "adam_step params/grads")
-    check_same_shape(params, state.first_moment, "adam_step params/moments")
-    state.step_count += 1
-    b1, b2 = state.beta1, state.beta2
-    state.first_moment = b1 * state.first_moment + (1 - b1) * grads
-    state.second_moment = b2 * state.second_moment + (1 - b2) * grads * grads
-    m_hat = state.first_moment / (1 - b1 ** state.step_count)
-    v_hat = state.second_moment / (1 - b2 ** state.step_count)
-    new_params = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return new_params, state
-
-
 class Adam:
-    """Adam over a dict of named parameter arrays, updated in place."""
+    """Adam with bias correction over a dict of named parameter arrays,
+    updated in place. Moments and step counts are kept per name."""
 
     def __init__(self, named_params, learning_rate=1e-4, beta1=0.9, beta2=0.999, epsilon=1e-8):
         self._params = named_params
-        self.states = {
-            name: AdamState.like(p, learning_rate=learning_rate, beta1=beta1,
-                                 beta2=beta2, epsilon=epsilon)
-            for name, p in named_params.items()
-        }
+        self.learning_rate = learning_rate
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.epsilon = epsilon
+        self.first_moment = {name: np.zeros_like(p) for name, p in named_params.items()}
+        self.second_moment = {name: np.zeros_like(p) for name, p in named_params.items()}
+        self.step_count = dict.fromkeys(named_params, 0)
 
     def step(self, named_grads):
         """Apply one update for every name present in named_grads."""
+        b1, b2 = self.beta1, self.beta2
         for name, g in named_grads.items():
             p = self._params[name]
-            new_p, self.states[name] = adam_step(p, g, self.states[name])
-            p[...] = new_p
+            check_same_shape(p, g, f"Adam params/grads for {name}")
+            self.step_count[name] += 1
+            t = self.step_count[name]
+            m = self.first_moment[name] = b1 * self.first_moment[name] + (1 - b1) * g
+            v = self.second_moment[name] = b2 * self.second_moment[name] + (1 - b2) * g * g
+            m_hat = m / (1 - b1 ** t)
+            v_hat = v / (1 - b2 ** t)
+            p[...] = p - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
 
 
 def finite_diff_check(loss_fn, params, analytic_grads, n_coords=50, h=1e-5, rng=None):

@@ -1,6 +1,5 @@
 """Continual training regimes over a sequential stream: dynamic-memory
-rehearsal, naive fine-tuning, EWC and EWC with frozen normalization, plus
-conventional base / full-data training.
+rehearsal, naive fine-tuning, EWC and EWC with frozen normalization.
 """
 from __future__ import annotations
 
@@ -8,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import signatures
+from .gram import signatures, signatures_from_taps
 from .memory import DynamicMemory
 from .validation import ConfigError, StateError
 
@@ -101,8 +100,6 @@ class DMStrategy:
         self.train_batch_size = train_batch_size
         self.recompute_signatures = recompute_signatures
         self.step_count = 0
-        self.last_train_images = None
-        self.last_train_labels = None
 
     def step(self, images, labels, tasks=None, rng=None):
         self.step_count += 1
@@ -118,36 +115,22 @@ class DMStrategy:
         # shared eval-mode pass: predictions and signatures under the current model
         logits, taps = self.model.forward_with_taps(images, train=False)
         preds = (logits > 0).astype(np.int64)
-        sigs = self._signatures_from_taps(taps)
+        sigs = signatures_from_taps(taps, self.model.version)
         if self.recompute_signatures:
             self.memory.refresh_signatures(lambda X: signatures(self.model, X),
                                            labels=set(labels.tolist()))
-        n_appended = n_replaced = 0
-        for img, lab, sig, task in zip(images, labels, sigs, tasks):
-            outcome = self.memory.insert(img, lab, sig, self.step_count, task)
-            if outcome.kind == "appended":
-                n_appended += 1
-            else:
-                n_replaced += 1
+        kinds = [self.memory.insert(img, lab, sig, self.step_count, task).kind
+                 for img, lab, sig, task in zip(images, labels, sigs, tasks)]
         mis = preds != labels
         n_mis = int(mis.sum())
         drawn = self.memory.draw_rehearsal(self.train_batch_size - n_mis, rng)
         train_images = [images[i] for i in np.nonzero(mis)[0]] + [it.image for it in drawn]
         train_labels = [int(l) for l in labels[mis]] + [it.label for it in drawn]
-        self.last_train_images = np.stack(train_images)
-        self.last_train_labels = np.asarray(train_labels)
-        loss, acc = self.model.train_step(self.last_train_images, self.last_train_labels)
+        loss, acc = self.model.train_step(np.stack(train_images), np.asarray(train_labels))
         batch_acc = float(np.mean(preds == labels))
         return StepReport(self.step_count, loss, batch_acc, n_misclassified=n_mis,
-                          n_memory_drawn=len(drawn), n_appended=n_appended,
-                          n_replaced=n_replaced)
-
-    def _signatures_from_taps(self, taps):
-        from .gram import GramSignature, gram_matrix
-
-        n = taps[0].shape[0]
-        return [GramSignature([gram_matrix(t[i]) for t in taps], self.model.version)
-                for i in range(n)]
+                          n_memory_drawn=len(drawn), n_appended=kinds.count("appended"),
+                          n_replaced=kinds.count("replaced"))
 
 
 def make_strategy(name, model, ewc_lambda=100.0, memory_size=32, train_batch_size=8,
@@ -164,12 +147,3 @@ def make_strategy(name, model, ewc_lambda=100.0, memory_size=32, train_batch_siz
                           recompute_signatures=recompute_signatures)
     raise ConfigError(f"unknown strategy {name!r}")
 
-
-def train_base(model, images, labels, epochs, batch_size=8, rng=None):
-    """Conventional multi-epoch training on the base split."""
-    return model.fit(images, labels, epochs=epochs, batch_size=batch_size, rng=rng)
-
-
-def train_full(model, images, labels, epochs, batch_size=8, rng=None):
-    """Upper-bound training on the union of all training data at once."""
-    return model.fit(images, labels, epochs=epochs, batch_size=batch_size, rng=rng)

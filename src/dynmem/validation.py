@@ -1,5 +1,8 @@
-"""Input validation helpers and the package's exception types."""
+"""Input validation helpers, the package's exception types and the binary
+container that checkpoints and corpus splits are written in."""
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -51,7 +54,46 @@ def check_same_shape(a, b, what):
         raise ShapeError(f"{what}: shapes {np.shape(a)} and {np.shape(b)} differ")
 
 
-def check_finite(x, what):
-    if not np.isfinite(x).all():
-        raise ValueError(f"{what} contains NaN or Inf")
-    return x
+def write_container(path, magic, header, arrays):
+    """Write magic, the 8-byte little-endian length of the JSON header line,
+    the header itself, then each array's raw row-major bytes in order."""
+    blob = json.dumps(header, sort_keys=True).encode() + b"\n"
+    with open(path, "wb") as f:
+        f.write(magic)
+        f.write(len(blob).to_bytes(8, "little"))
+        f.write(blob)
+        for a in arrays:
+            f.write(np.ascontiguousarray(a).tobytes())
+
+
+def read_container(path, magic, what, layout):
+    """Read a file written by write_container. layout(header) lists the
+    arrays as (name, shape, dtype) in file order. Returns (header, arrays).
+
+    Every field is read by its exact byte count: a foreign, truncated or
+    over-long file, or a header that is not the expected JSON, raises
+    ConfigError naming the path.
+    """
+    with open(path, "rb") as f:
+        def take(n_bytes, field):
+            chunk = f.read(n_bytes)
+            if len(chunk) != n_bytes:
+                raise ConfigError(f"{path} is truncated: {field} needs {n_bytes} bytes, "
+                                  f"{len(chunk)} remain")
+            return chunk
+
+        if f.read(len(magic)) != magic:
+            raise ConfigError(f"{path} is not a {what}")
+        raw_header = take(int.from_bytes(take(8, "header length"), "little"), "header")
+        try:
+            header = json.loads(raw_header)
+            specs = [(name, tuple(shape), np.dtype(dt)) for name, shape, dt in layout(header)]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{path} has a malformed header: {exc}") from None
+        arrays = {}
+        for name, shape, dt in specs:
+            raw = take(int(np.prod(shape, dtype=np.int64)) * dt.itemsize, f"array {name}")
+            arrays[name] = np.frombuffer(raw, dtype=dt).reshape(shape).copy()
+        if f.read(1):
+            raise ConfigError(f"{path} has bytes past its last array")
+    return header, arrays

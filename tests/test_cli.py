@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line driver on a tiny corpus."""
 import json
+import shutil
 
 import pytest
 
@@ -53,15 +54,26 @@ def test_continual_dm_outputs(workspace):
     assert agg["aggregate"]["acc_A"]["mean"] == summary["acc_A"]
 
 
+def written_files(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+RERUN_STRATEGIES = ["naive", "ewc-fbn", "dm", "dm --recompute-signatures"]
+
+
 def test_continual_reruns_are_byte_identical(workspace, tmp_path):
     corpus, out = workspace
-    for d in ("r1", "r2"):
-        # reuse the shared base checkpoint, write results to a fresh directory
-        assert run_continual(corpus, tmp_path / d, "--strategy", "naive",
-                             "--base", str(out)) == 0
-    a = (tmp_path / "r1" / "naive" / "seed0" / "metrics.csv").read_bytes()
-    b = (tmp_path / "r2" / "naive" / "seed0" / "metrics.csv").read_bytes()
-    assert a == b
+    for i, strategy in enumerate(RERUN_STRATEGIES):
+        runs = [tmp_path / f"s{i}" / d for d in ("r1", "r2")]
+        for d in runs:
+            # reuse the shared base checkpoint, write results to a fresh directory
+            assert run_continual(corpus, d, "--strategy", *strategy.split(),
+                                 "--base", str(out)) == 0, strategy
+        first, second = written_files(runs[0]), written_files(runs[1])
+        expected = {"metrics.csv", "summary.json"} | ({"memory_dump.txt"} if "dm" in strategy
+                                                      else set())
+        assert {p.name for p in first} == expected, strategy
+        assert first == second, strategy
 
 
 def test_continual_ewc_requires_fisher_checkpoint(workspace, tmp_path):
@@ -149,3 +161,66 @@ def test_unknown_strategy_is_argparse_error(workspace, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_continual(corpus, tmp_path, "--strategy", "gem")
     assert exc.value.code == 2
+
+
+def exit_code(argv):
+    """main's return code, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("command,flags,named", [
+    pytest.param("continual", ["--config"], "--config", id="config-last"),
+    pytest.param("continual", ["--config={cfg}"], "momentum", id="config-unknown-key"),
+    pytest.param("train-base", ["--base-epochs", "-3"], "--base-epochs", id="base-epochs"),
+    pytest.param("full-training", ["--full-epochs", "0"], "--full-epochs", id="full-epochs"),
+    pytest.param("continual", ["--memory", "5"], "--memory", id="odd-memory"),
+    pytest.param("sweep-memory", ["--sizes", "16", "5"], "--sizes", id="odd-sizes"),
+    pytest.param("train-base", ["--lr", "nan"], "--lr", id="lr-nan"),
+    pytest.param("continual", ["--stream-lr", "inf"], "--stream-lr", id="stream-lr-inf"),
+    pytest.param("continual", ["--lambda", "nan"], "--lambda", id="lambda-nan"),
+])
+def test_bad_flag_is_usage_error_naming_the_flag(tmp_path, capsys, command, flags, named):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seeds = 1\nmomentum = 0.9\n")
+    argv = [command, "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "out")]
+    if command == "continual":
+        argv += ["--strategy", "dm"]
+    capsys.readouterr()
+    assert exit_code(argv + [f.format(cfg=cfg) for f in flags]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_config_file_values_are_typed_and_explicit_flags_win(workspace, tmp_path):
+    corpus, out = workspace
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("memory = 8\nseed = 0\nseeds = 1\nprobe_every = 5\nbase-epochs = 1\n"
+                   "recompute-signatures = true\nstream-lr = 0.9\n")
+    by_file = tmp_path / "by_file"
+    assert main(["continual", f"--config={cfg}", "--corpus", str(corpus), "--out", str(by_file),
+                 "--strategy", "dm", "--base", str(out), "--stream-lr", "5e-4"]) == 0
+    by_flags = tmp_path / "by_flags"
+    assert run_continual(corpus, by_flags, "--strategy", "dm", "--memory", "8",
+                         "--recompute-signatures", "--base", str(out)) == 0
+    assert written_files(by_file) == written_files(by_flags)
+
+
+@pytest.mark.parametrize("target", ["base_seed0.ckpt", "base.dmc"])
+@pytest.mark.parametrize("where", ["header", "arrays"])
+def test_truncated_file_is_runtime_error_naming_the_file(workspace, tmp_path, capsys,
+                                                          target, where):
+    corpus, out = workspace
+    bad_corpus, bad_base = tmp_path / "corpus", tmp_path / "base"
+    shutil.copytree(corpus, bad_corpus)
+    bad_base.mkdir()
+    shutil.copy(out / "base_seed0.ckpt", bad_base)
+    path = (bad_base if target.endswith(".ckpt") else bad_corpus) / target
+    blob = path.read_bytes()
+    path.write_bytes(blob[: blob.index(b"{") + 20 if where == "header" else len(blob) - 7])
+    capsys.readouterr()
+    assert run_continual(bad_corpus, tmp_path / "res", "--strategy", "naive",
+                         "--base", str(bad_base)) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "truncated" in err

@@ -1,6 +1,8 @@
 """Tests for the synthetic corpus generator, the stream schedule and the
 corpus containers, including the generator calibration oracles.
 """
+import re
+
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter, median_filter
@@ -247,3 +249,16 @@ def test_corpus_load_rejects_tampered_hash(tmp_path, corpus):
 def test_corpus_load_missing_manifest_raises(tmp_path):
     with pytest.raises(ConfigError):
         load_corpus(tmp_path)
+
+
+@pytest.mark.parametrize("damage", ["magic", "json", "trailing"])
+def test_corpus_load_rejects_a_damaged_split_naming_the_file(tmp_path, corpus, damage):
+    save_corpus(corpus, tmp_path / "corpus")
+    path = tmp_path / "corpus" / "test.dmc"
+    blob = path.read_bytes()
+    start = blob.index(b"{")
+    path.write_bytes({"magic": b"X" + blob[1:],
+                      "json": blob[:start] + b"[" + blob[start + 1:],
+                      "trailing": blob + b"\0"}[damage])
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        load_corpus(tmp_path / "corpus")

@@ -66,7 +66,7 @@ def test_replacement_targets_minimum_distance():
 def test_equidistant_ties_break_to_oldest():
     mem = DynamicMemory(6)  # quota 3
     fill_class(mem, 0, [1.0, 1.0, 1.0])
-    assert mem.argmin_replacement_index(0, sig(0.0)) == 0
+    assert mem.argmin_replacement_index(0, sig(0.0)) == (0, 1.0)
 
 
 def test_argmin_without_candidates_raises():

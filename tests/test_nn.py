@@ -8,7 +8,7 @@ from dynmem import nn
 from dynmem.validation import ShapeError
 
 
-def conv_reference(x, w, b, stride, padding):
+def conv_reference(x, w, stride, padding):
     """Quadruple-loop cross-correlation oracle (slow, obviously correct)."""
     n, c_in, h, wid = x.shape
     c_out, _, k, _ = w.shape
@@ -21,33 +21,41 @@ def conv_reference(x, w, b, stride, padding):
             for i in range(oh):
                 for j in range(ow):
                     patch = xp[ni, :, i * stride : i * stride + k, j * stride : j * stride + k]
-                    out[ni, co, i, j] = np.sum(patch * w[co]) + b[co]
+                    out[ni, co, i, j] = np.sum(patch * w[co])
     return out
 
 
-# -- conv2d ----------------------------------------------------------------
+def conv(x, w, stride=1, padding=0):
+    """Conv2d.forward with the given float64 kernels."""
+    layer = nn.Conv2d(w.shape[1], w.shape[0], w.shape[2], stride=stride, padding=padding,
+                      dtype=np.float64)
+    layer.params["weight"][...] = w
+    return layer.forward(x, "train")
+
+
+# -- convolution -----------------------------------------------------------
 
 def test_conv_direct_summation_oracle():
-    x = np.array([[[1, 2, 3], [4, 5, 6], [7, 8, 9]]], dtype=np.float64)
+    x = np.array([[[[1, 2, 3], [4, 5, 6], [7, 8, 9]]]], dtype=np.float64)
     w = np.ones((1, 1, 3, 3))
-    out = nn.conv2d(x, w, np.zeros(1), stride=1, padding=0)
-    assert out.shape == (1, 1, 1)
-    assert out[0, 0, 0] == 45
+    out = conv(x, w, stride=1, padding=0)
+    assert out.shape == (1, 1, 1, 1)
+    assert out[0, 0, 0, 0] == 45
 
 
 def test_conv_zero_input_gives_zero_output():
     rng = np.random.default_rng(0)
     w = rng.standard_normal((2, 1, 3, 3))
-    out = nn.conv2d(np.zeros((1, 3, 3)), w, np.zeros(2), padding=1)
+    out = conv(np.zeros((1, 1, 3, 3)), w, padding=1)
     assert np.all(out == 0)
 
 
 def test_conv_identity_kernel_preserves_input():
     rng = np.random.default_rng(1)
-    x = rng.standard_normal((1, 5, 5))
+    x = rng.standard_normal((1, 1, 5, 5))
     w = np.zeros((1, 1, 3, 3))
     w[0, 0, 1, 1] = 1.0
-    out = nn.conv2d(x, w, np.zeros(1), stride=1, padding=1)
+    out = conv(x, w, stride=1, padding=1)
     np.testing.assert_allclose(out, x, rtol=1e-12)
 
 
@@ -56,9 +64,8 @@ def test_conv_matches_bruteforce_reference(stride, padding):
     rng = np.random.default_rng(stride * 10 + padding)
     x = rng.standard_normal((2, 3, 9, 9))
     w = rng.standard_normal((4, 3, 3, 3))
-    b = rng.standard_normal(4)
-    out = nn.conv2d(x, w, b, stride=stride, padding=padding)
-    np.testing.assert_allclose(out, conv_reference(x, w, b, stride, padding), rtol=1e-10)
+    out = conv(x, w, stride=stride, padding=padding)
+    np.testing.assert_allclose(out, conv_reference(x, w, stride, padding), rtol=1e-10)
 
 
 def test_conv_is_linear_in_the_input():
@@ -66,35 +73,24 @@ def test_conv_is_linear_in_the_input():
     x = rng.standard_normal((1, 2, 6, 6))
     y = rng.standard_normal((1, 2, 6, 6))
     w = rng.standard_normal((3, 2, 3, 3))
-    zero_b = np.zeros(3)
-    lhs = nn.conv2d(2.0 * x + 0.5 * y, w, zero_b, padding=1)
-    rhs = 2.0 * nn.conv2d(x, w, zero_b, padding=1) + 0.5 * nn.conv2d(y, w, zero_b, padding=1)
+    lhs = conv(2.0 * x + 0.5 * y, w, padding=1)
+    rhs = 2.0 * conv(x, w, padding=1) + 0.5 * conv(y, w, padding=1)
     np.testing.assert_allclose(lhs, rhs, atol=1e-6)
 
 
 def test_conv_channel_mismatch_raises():
     with pytest.raises(ShapeError):
-        nn.conv2d(np.zeros((1, 2, 5, 5)), np.zeros((3, 4, 3, 3)), np.zeros(3))
+        conv(np.zeros((1, 2, 5, 5)), np.zeros((3, 4, 3, 3)))
 
 
 def test_conv_even_kernel_raises():
     with pytest.raises(ShapeError):
-        nn.conv2d(np.zeros((1, 1, 5, 5)), np.zeros((1, 1, 4, 4)), np.zeros(1))
+        nn.Conv2d(1, 1, 4)
 
 
 def test_conv_degenerate_output_size_raises():
     with pytest.raises(ShapeError):
         nn.conv_output_size(2, 5, 1, 0)
-
-
-def test_conv_single_image_keeps_arrangement():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((2, 5, 5))
-    w = rng.standard_normal((3, 2, 3, 3))
-    out = nn.conv2d(x, w, np.zeros(3), padding=1)
-    assert out.shape == (3, 5, 5)
-    batched = nn.conv2d(x[None], w, np.zeros(3), padding=1)
-    np.testing.assert_allclose(out, batched[0])
 
 
 def test_conv_layer_backward_matches_finite_differences():
@@ -149,20 +145,6 @@ def test_bn_eval_mode_uses_running_stats_and_leaves_them_alone():
     out = layer.forward(x, "eval")
     np.testing.assert_allclose(out.ravel(), [(4.0 - 2.0) / np.sqrt(4.0 + 1e-5)])
     assert layer.running_mean[0] == 2.0 and layer.running_var[0] == 4.0
-
-
-def test_bn_frozen_mode_blocks_stats_and_affine_grads():
-    layer = nn.BatchNorm2d(2, dtype=np.float64)
-    rng = np.random.default_rng(7)
-    layer.zero_grads()
-    for _ in range(5):
-        x = rng.standard_normal((4, 2, 3, 3))
-        out = layer.forward(x, "frozen")
-        layer.backward(np.ones_like(out), "frozen")
-    assert np.all(layer.running_mean == 0.0)
-    assert np.all(layer.running_var == 1.0)
-    assert np.all(layer.grads["scale"] == 0.0)
-    assert np.all(layer.grads["shift"] == 0.0)
 
 
 def test_bn_zero_variance_never_divides_by_zero():
@@ -270,36 +252,34 @@ def test_bce_nonnegative_on_random_inputs():
 
 def test_adam_zero_gradient_leaves_params_unchanged():
     p = np.array([1.0, -2.0])
-    state = nn.AdamState.like(p, learning_rate=1e-3)
-    new_p, _ = nn.adam_step(p, np.zeros(2), state)
-    np.testing.assert_array_equal(new_p, p)
+    nn.Adam({"p": p}, learning_rate=1e-3).step({"p": np.zeros(2)})
+    np.testing.assert_array_equal(p, [1.0, -2.0])
 
 
 def test_adam_first_step_closed_form():
     p = np.zeros(1)
-    state = nn.AdamState.like(p, learning_rate=1e-3)
-    new_p, state = nn.adam_step(p, np.ones(1), state)
+    opt = nn.Adam({"p": p}, learning_rate=1e-3)
+    opt.step({"p": np.ones(1)})
     # bias-corrected m_hat = v_hat = 1, so the step is -lr / (1 + eps)
-    np.testing.assert_allclose(new_p, [-1e-3], atol=1e-8)
-    assert state.step_count == 1
+    np.testing.assert_allclose(p, [-1e-3], atol=1e-8)
+    assert opt.step_count["p"] == 1
 
 
 def test_adam_constant_gradient_moves_monotonically():
     p = np.zeros(1)
-    state = nn.AdamState.like(p, learning_rate=1e-3)
+    opt = nn.Adam({"p": p}, learning_rate=1e-3)
     prev = 0.0
     for _ in range(5):
-        p, state = nn.adam_step(p, np.ones(1), state)
+        opt.step({"p": np.ones(1)})
         assert p[0] < prev
         prev = p[0]
-    assert np.all(state.second_moment >= 0)
+    assert np.all(opt.second_moment["p"] >= 0)
 
 
 def test_adam_shape_mismatch_raises():
-    p = np.zeros(3)
-    state = nn.AdamState.like(p)
+    opt = nn.Adam({"p": np.zeros(3)})
     with pytest.raises(ShapeError):
-        nn.adam_step(p, np.zeros(4), state)
+        opt.step({"p": np.zeros(4)})
 
 
 def test_adam_dict_optimizer_updates_in_place():

@@ -22,6 +22,19 @@ def make_base_model(with_ewc=True, seed=0):
     return model
 
 
+def capture_train_batches(model):
+    """Record the (images, labels) of every train_step call on the model."""
+    seen = []
+    train_step = model.train_step
+
+    def recording(X, y, *args, **kwargs):
+        seen.append((np.array(X), np.array(y)))
+        return train_step(X, y, *args, **kwargs)
+
+    model.train_step = recording
+    return seen
+
+
 def batch(seed=0, n=8, size=16):
     rng = np.random.default_rng(seed)
     return (rng.random((n, 1, size, size)).astype(np.float32),
@@ -177,13 +190,15 @@ def test_dm_training_batch_contains_all_misclassified():
     rng = np.random.default_rng(11)
     X, y = batch(seed=11)
     preds = model.predict(X)
+    trained = capture_train_batches(model)
     report = strat.step(X, y, rng=rng)
+    [(train_images, train_labels)] = trained
     wrong = np.nonzero(preds != y)[0]
     assert report.n_misclassified == len(wrong)
     for i in wrong:
-        match = np.all(strat.last_train_images == X[i], axis=(1, 2, 3))
+        match = np.all(train_images == X[i], axis=(1, 2, 3))
         assert match.any()
-    assert len(strat.last_train_labels) <= strat.train_batch_size
+    assert len(train_labels) <= strat.train_batch_size
 
 
 def test_dm_training_batch_fills_with_memory_draws():
@@ -195,9 +210,11 @@ def test_dm_training_batch_fills_with_memory_draws():
     # an all-correct batch trains purely on rehearsal draws
     X2, _ = batch(seed=13)
     agreeable = model.predict(X2)
+    trained = capture_train_batches(model)
     report = strat.step(X2, agreeable, rng=rng)
+    [(_, train_labels)] = trained
     assert report.n_misclassified == 0
-    assert report.n_memory_drawn == len(strat.last_train_labels)
+    assert report.n_memory_drawn == len(train_labels)
 
 
 def test_dm_memory_update_precedes_model_update():

@@ -8,7 +8,7 @@ from .gram import GramSignature, gram_distance, gram_matrix, signature, signatur
 from .memory import DynamicMemory, InsertOutcome, MemoryItem
 from .model import ConvNetClassifier, gradient_check
 from .strategies import DMStrategy, EWCStrategy, NaiveStrategy, StepReport, make_strategy
-from .validation import ConfigError, ShapeError, StateError
+from .validation import ConfigError, DivergenceError, ShapeError, StateError
 
 __version__ = "0.1.0"
 
@@ -19,5 +19,5 @@ __all__ = [
     "DynamicMemory", "InsertOutcome", "MemoryItem",
     "ConvNetClassifier", "gradient_check",
     "DMStrategy", "EWCStrategy", "NaiveStrategy", "StepReport", "make_strategy",
-    "ConfigError", "ShapeError", "StateError",
+    "ConfigError", "DivergenceError", "ShapeError", "StateError",
 ]

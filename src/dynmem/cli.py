@@ -16,8 +16,7 @@ import numpy as np
 
 from . import evaluation as ev
 from .data import CorpusConfig, TASKS, build_corpus, load_corpus, save_corpus
-from .experiment import (ExperimentConfig, run_base_training, run_continual,
-                         run_full_training, steps_to_accuracy)
+from .experiment import ExperimentConfig, run_base_training, run_continual, run_full_training
 from .model import ConvNetClassifier
 from .validation import ConfigError
 
@@ -205,19 +204,17 @@ def _continual_runs(args, cfg, corpus, strategy, memory_size, out_dir):
         result = run_continual(corpus, base_model, strategy, cfg, seed)
         run_dir = out_dir / f"seed{seed}"
         _write_rows(run_dir / "metrics.csv", result.rows)
-        summary = dict(result.summary)
-        summary["steps_to_c"] = steps_to_accuracy(result.rows, "C")
-        _write_json(run_dir / "summary.json", summary)
+        _write_json(run_dir / "summary.json", result.summary)
         if result.memory_dump is not None:
             (run_dir / "memory_dump.txt").write_text(result.memory_dump)
-        summaries.append(summary)
-        print(f"{strategy} seed {seed}: accA={summary['acc_A']:.3f} "
-              f"bwt={summary['bwt']:.3f}", file=sys.stderr)
-    agg = ev.aggregate_summaries(summaries, ("acc_A", "acc_B", "acc_C", "bwt", "fwt"))
+        summaries.append(result.summary)
+        print(f"{strategy} seed {seed}: accA={result.summary['acc_A']:.3f} "
+              f"bwt={result.summary['bwt']:.3f}", file=sys.stderr)
+    agg = ev.aggregate_summaries(summaries, ("acc_A", "acc_B", "acc_C", "bwt", "fwt", "area_C"))
     _write_json(out_dir / "summary.json",
                 {"strategy": strategy, "memory_size": memory_size,
                  "seeds": cfg.seeds(), "aggregate": agg})
-    return summaries, agg
+    return agg
 
 
 def cmd_continual(args):
@@ -232,12 +229,12 @@ def cmd_continual(args):
 def cmd_sweep_memory(args):
     cfg = _experiment_config(args)
     corpus = _load_corpus(args, cfg)
-    lines = ["M,acc_A,acc_B,acc_C,acc_avg,steps_to_c"]
+    lines = ["M,acc_A,acc_B,acc_C,acc_avg,area_C"]
     for size in args.sizes:
-        summaries, agg = _continual_runs(args, cfg, corpus, "dm", size, args.out / f"dm_M{size}")
+        agg = _continual_runs(args, cfg, corpus, "dm", size, args.out / f"dm_M{size}")
         accs = [agg[f"acc_{t}"]["mean"] for t in TASKS]
-        steps_c = float(np.mean([s["steps_to_c"] for s in summaries]))
-        lines.append(",".join(str(v) for v in (size, *accs, float(np.mean(accs)), steps_c)))
+        row = (size, *accs, float(np.mean(accs)), agg["area_C"]["mean"])
+        lines.append(",".join(str(v) for v in row))
     (args.out / "memory_sweep.csv").write_text("\n".join(lines) + "\n")
     return 0
 

@@ -328,20 +328,24 @@ def load_corpus(corpus_dir):
     manifest_path = corpus_dir / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"no corpus manifest at {manifest_path}")
-    with open(manifest_path) as f:
-        manifest = json.load(f)
-    cfg_dict = dict(manifest["config"])
-    cfg_dict["continuous_counts"] = tuple(cfg_dict["continuous_counts"])
-    cfg = CorpusConfig(**cfg_dict)
-    if cfg.config_hash() != manifest["config_hash"]:
-        raise ConfigError("corpus manifest config hash mismatch")
+    try:
+        with open(manifest_path) as f:
+            manifest = json.load(f)
+        cfg_dict = dict(manifest["config"])
+        cfg_dict["continuous_counts"] = tuple(cfg_dict["continuous_counts"])
+        cfg = CorpusConfig(**cfg_dict)
+        config_hash, seed = manifest["config_hash"], manifest["seed"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{manifest_path} is not a valid corpus manifest: {exc!r}") from exc
+    if cfg.config_hash() != config_hash:
+        raise ConfigError(f"{manifest_path}: config hash mismatch")
     splits = {}
     for split in SPLITS:
         path = corpus_dir / f"{split}.dmc"
         header, a = read_container(path, CORPUS_MAGIC, "corpus container", _split_layout)
-        if header["config_hash"] != manifest["config_hash"]:
+        if header["config_hash"] != config_hash:
             raise ConfigError(f"{path} config hash differs from the manifest")
         splits[split] = Dataset(a["pixels"], a["labels"],
                                 np.array([TASKS[c] for c in a["tasks"]]), a["ids"])
     return Corpus(splits["base"], splits["continuous"], splits["validation"],
-                  splits["test"], cfg, manifest["seed"])
+                  splits["test"], cfg, seed)

@@ -63,6 +63,15 @@ def probe_steps(total_steps, every=30):
     return sorted(steps)
 
 
+def learning_curve_area(rows, task, after_step):
+    """Mean validation accuracy on `task` over the probes after `after_step`
+    (learning-curve area, Chaudhry et al. 2019, arXiv:1812.00420): the
+    adaptation-speed metric, higher when the task is learned sooner."""
+    return float(np.mean([float(r["value"]) for r in rows
+                          if r["task"] == task and r["split"] == "val"
+                          and r["metric"] == "accuracy" and int(r["step"]) > after_step]))
+
+
 def validation_probe(model, validation, step, strategy, seed):
     """One accuracy row per task on the validation split; never mutates state."""
     rows = []

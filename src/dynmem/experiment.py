@@ -147,6 +147,8 @@ def run_continual(corpus, base_model, strategy_name, cfg, seed):
         "acc_A": float(rmatrix[-1, 0]), "acc_B": float(rmatrix[-1, 1]),
         "acc_C": float(rmatrix[-1, 2]),
         "bwt": ev.bwt(rmatrix), "fwt": ev.fwt(rmatrix, rmatrix[0]),
+        # task C's adaptation speed, from the probes after B's checkpoint
+        "area_C": ev.learning_curve_area(rows, "C", checkpoint_steps["B"]),
         "rmatrix": rmatrix.tolist(), "r_rows": list(ev.R_ROWS), "tasks": list(TASKS),
     }
     dump = strategy.memory.dump() if strategy_name == "dm" else None
@@ -172,16 +174,3 @@ def run_full_training(corpus, cfg, seed):
         "bwt": None, "fwt": None,  # undefined for non-sequential training
     }
     return RunResult("full", seed, rows, None, summary, np.array([], dtype=np.int64))
-
-
-def steps_to_accuracy(rows, task, threshold=0.8):
-    """First probe step at which the task's validation accuracy reaches the
-    threshold; +inf when it never does (adaptation-speed metric)."""
-    probes = sorted(
-        (int(r["step"]), float(r["value"])) for r in rows
-        if r["task"] == task and r["split"] == "val" and r["metric"] == "accuracy"
-    )
-    for step, value in probes:
-        if value >= threshold:
-            return float(step)
-    return float("inf")

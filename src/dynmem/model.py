@@ -14,11 +14,15 @@ import copy
 import numpy as np
 
 from . import nn
-from .validation import (ConfigError, StateError, check_images, check_labels,
-                         read_container, write_container)
+from .validation import (ConfigError, DivergenceError, StateError, check_images,
+                         check_labels, read_container, write_container)
 
 CHECKPOINT_MAGIC = b"DMCKPT1\n"
 CHECKPOINT_VERSION = 2  # 2: convs carry no bias
+FISHER_CHUNK = nn.CONV_BLOCK  # one conv block: backward reuses the forward's columns
+# images per forward when norm statistics are refit; the layers still cache the
+# previous block, and 64 keeps that below the peak of one 150-image probe
+NORM_STATS_BLOCK = 64
 
 
 class ConvNetClassifier:
@@ -182,27 +186,75 @@ class ConvNetClassifier:
         return float(losses.mean() + penalty_loss), acc
 
     def fit(self, X, y, epochs=1, batch_size=8, rng=None):
-        """Multi-epoch shuffled mini-batch training. Returns per-epoch mean loss."""
+        """Multi-epoch shuffled mini-batch training. Returns per-epoch mean loss.
+
+        Raises DivergenceError at the first non-finite loss. Unless norms are
+        frozen, the running statistics are then refit to the final weights
+        (see fit_norm_statistics), so eval mode matches what was learned.
+        """
         X = check_images(X, self.image_size)
         y = check_labels(y, X.shape[0])
         rng = rng or np.random.default_rng(self.random_state)
         history = []
-        for _ in range(epochs):
+        for epoch in range(1, epochs + 1):
             order = rng.permutation(len(y))
             losses = []
             for start in range(0, len(y) - batch_size + 1, batch_size):
                 idx = order[start : start + batch_size]
                 loss, _ = self.train_step(X[idx], y[idx])
+                if not np.isfinite(loss):
+                    raise DivergenceError(
+                        f"training diverged: loss {loss} at epoch {epoch}, batch "
+                        f"{start // batch_size + 1} (learning rate {self.learning_rate:g})")
                 losses.append(loss)
             history.append(float(np.mean(losses)) if losses else float("nan"))
+        if not self.norm_frozen:
+            self.fit_norm_statistics(X)
         return history
+
+    def fit_norm_statistics(self, X):
+        """Set every norm's running mean/var to the population mean/variance
+        of its eval-mode input over X under the current weights (PreciseBN,
+        Wu & Johnson 2021, arXiv:2105.07576). Norms are refit in order, so
+        each one sees inputs normalised by the statistics already refit before
+        it. X is read in blocks of NORM_STATS_BLOCK images; once a norm's
+        input is no larger than an image, it is kept for every block and the
+        later norms start from it instead of from X."""
+        X = check_images(X, self.image_size).astype(self.dtype, copy=False)
+        if len(X) == 0:
+            raise ConfigError("fit_norm_statistics needs a non-empty dataset")
+        blocks = [X[b : b + NORM_STATS_BLOCK] for b in range(0, len(X), NORM_STATS_BLOCK)]
+        start = 0  # blocks hold the input of layer `start`
+        for i, norm in enumerate(self.layers):
+            if not isinstance(norm, nn.BatchNorm2d):
+                continue
+            total = total_sq = 0.0
+            count = 0
+            for k, out in enumerate(blocks):
+                for layer in self.layers[start:i]:
+                    out = layer.forward(out, "eval")
+                total = total + out.sum(axis=(0, 2, 3), dtype=np.float64)
+                total_sq = total_sq + np.square(out).sum(axis=(0, 2, 3), dtype=np.float64)
+                count += out.size // out.shape[1]
+                small = out[0].size <= X[0].size
+                if small:
+                    blocks[k] = out
+            if small:
+                start = i
+            mean = total / count
+            norm.running_mean[...] = mean
+            norm.running_var[...] = np.maximum(total_sq / count - mean ** 2, 0.0)
 
     # -- EWC support -------------------------------------------------------
 
     def fisher_diagonal(self, X, y, sample_count=None, rng=None):
         """Empirical Fisher diagonal: mean squared per-sample gradient of the
         ground-truth-label log-likelihood. Running stats are excluded (they
-        are not trainable parameters)."""
+        are not trainable parameters).
+
+        Eval-mode norm is affine, so the examples of a batch do not interact:
+        one eval pass per chunk of FISHER_CHUNK examples gives each example's
+        exact gradient, and the layers sum their squares in float64."""
         X = check_images(X, self.image_size)
         y = check_labels(y, X.shape[0])
         if len(y) == 0:
@@ -211,15 +263,18 @@ class ConvNetClassifier:
         if sample_count is not None and sample_count < len(y):
             rng = rng or np.random.default_rng(self.random_state)
             idx = rng.choice(len(y), size=sample_count, replace=False)
-        fisher = {name: np.zeros_like(p, dtype=np.float64) for name, p in self.named_params().items()}
-        for i in idx:
-            self.zero_grads()
-            logits, _ = self.forward_with_taps(X[i : i + 1], train=False)
-            _, dlogit = nn.bce_loss(logits, y[i : i + 1])
-            self.backward(dlogit, train=False)
-            for name, g in self.named_grads().items():
-                fisher[name] += g.astype(np.float64) ** 2
-        self._fisher = {name: (f / len(idx)).astype(self.dtype) for name, f in fisher.items()}
+        sums = [{name: np.zeros(p.shape) for name, p in layer.params.items()}
+                for layer in self.layers]
+        for start in range(0, len(idx), FISHER_CHUNK):
+            rows = idx[start : start + FISHER_CHUNK]
+            logits, _ = self.forward_with_taps(X[rows], train=False)
+            _, dlogits = nn.bce_loss(logits, y[rows])
+            grad = dlogits.astype(self.dtype)[:, None]
+            for layer, sq in zip(reversed(self.layers), reversed(sums)):
+                grad = layer.backward(grad, "eval", sq)
+        self._fisher = {f"{lname}.{name}": (f / len(idx)).astype(self.dtype)
+                        for lname, layer_sums in zip(self.layer_names, sums)
+                        for name, f in layer_sums.items()}
         return self._fisher
 
     @property

@@ -19,6 +19,10 @@ class StateError(RuntimeError):
     """An operation was called in a state that forbids it."""
 
 
+class DivergenceError(RuntimeError):
+    """Training produced a non-finite loss."""
+
+
 def check_images(X, image_size=None, name="X"):
     """Validate a batch of single-channel images, returning (N, 1, S, S) float array.
 

@@ -49,7 +49,7 @@ def test_continual_dm_outputs(workspace):
     assert (run_dir / "metrics.csv").exists()
     assert (run_dir / "memory_dump.txt").read_text().startswith("step\tlabel")
     summary = json.loads((run_dir / "summary.json").read_text())
-    assert {"acc_A", "acc_B", "acc_C", "bwt", "fwt", "steps_to_c"} <= set(summary)
+    assert {"acc_A", "acc_B", "acc_C", "bwt", "fwt", "area_C"} <= set(summary)
     agg = json.loads((out / "dm_M8" / "summary.json").read_text())
     assert agg["aggregate"]["acc_A"]["mean"] == summary["acc_A"]
 
@@ -92,7 +92,7 @@ def test_sweep_memory_table(workspace, tmp_path):
                "--probe-every", "5", "--sizes", "4", "8", "--base", str(out)])
     assert rc == 0
     lines = (tmp_path / "memory_sweep.csv").read_text().splitlines()
-    assert lines[0] == "M,acc_A,acc_B,acc_C,acc_avg,steps_to_c"
+    assert lines[0] == "M,acc_A,acc_B,acc_C,acc_avg,area_C"
     assert [row.split(",")[0] for row in lines[1:]] == ["4", "8"]
 
 
@@ -154,6 +154,16 @@ def test_old_checkpoint_version_is_runtime_error_naming_the_file(workspace, tmp_
                          "--base", str(old)) == 1
     err = capsys.readouterr().err
     assert str(old / "base_seed0.ckpt") in err and "version 1" in err
+
+
+def test_diverging_fit_is_runtime_error_naming_the_epoch(workspace, tmp_path, capsys):
+    corpus, _ = workspace
+    capsys.readouterr()
+    rc = main(["train-base", "--corpus", str(corpus), "--out", str(tmp_path),
+               "--seed", "0", "--seeds", "1", "--base-epochs", "2", "--lr", "1e30"])
+    assert rc == 1
+    assert "epoch 1" in capsys.readouterr().err
+    assert not (tmp_path / "base_seed0.ckpt").exists()
 
 
 def test_unknown_strategy_is_argparse_error(workspace, tmp_path):

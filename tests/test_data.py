@@ -251,6 +251,14 @@ def test_corpus_load_missing_manifest_raises(tmp_path):
         load_corpus(tmp_path)
 
 
+def test_corpus_load_rejects_a_truncated_manifest_naming_the_file(tmp_path, corpus):
+    save_corpus(corpus, tmp_path / "corpus")
+    path = tmp_path / "corpus" / "manifest.json"
+    path.write_bytes(path.read_bytes()[:100])
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        load_corpus(tmp_path / "corpus")
+
+
 @pytest.mark.parametrize("damage", ["magic", "json", "trailing"])
 def test_corpus_load_rejects_a_damaged_split_naming_the_file(tmp_path, corpus, damage):
     save_corpus(corpus, tmp_path / "corpus")

@@ -157,3 +157,11 @@ def test_aggregate_summaries_skips_missing_metrics():
     agg = ev.aggregate_summaries(summaries, ("bwt", "fwt"))
     np.testing.assert_allclose(agg["bwt"]["mean"], -0.2)
     assert agg["fwt"] is None
+
+
+def test_learning_curve_area_averages_the_task_probes_after_the_step():
+    rows = [{"step": s, "task": t, "split": "val", "metric": "accuracy", "value": v}
+            for s, t, v in [(0, "C", 0.5), (30, "C", 0.6), (60, "C", 0.8), (90, "C", 1.0),
+                            (60, "B", 0.0)]]
+    rows.append({"step": 90, "task": "C", "split": "train", "metric": "loss", "value": 9.0})
+    assert ev.learning_curve_area(rows, "C", after_step=30) == pytest.approx(0.9)

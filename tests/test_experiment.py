@@ -7,7 +7,7 @@ import pytest
 from dynmem.data import CorpusConfig, build_corpus
 from dynmem.evaluation import R_ROWS
 from dynmem.experiment import (ExperimentConfig, run_base_training, run_continual,
-                               run_full_training, steps_to_accuracy)
+                               run_full_training)
 from dynmem.validation import ConfigError
 
 TINY = CorpusConfig(base_count=40, continuous_counts=(40, 24, 40), eval_count=16)
@@ -128,17 +128,3 @@ def test_full_training_summary(corpus, cfg):
     assert result.summary["bwt"] is None and result.summary["fwt"] is None
     for key in ("acc_A", "acc_B", "acc_C"):
         assert 0.0 <= result.summary[key] <= 1.0
-
-
-# -- adaptation-speed metric -----------------------------------------------
-
-def test_steps_to_accuracy_first_crossing():
-    rows = [{"step": s, "task": "C", "split": "val", "metric": "accuracy",
-             "value": v} for s, v in [(0, 0.5), (30, 0.79), (60, 0.81), (90, 0.9)]]
-    assert steps_to_accuracy(rows, "C") == 60.0
-
-
-def test_steps_to_accuracy_never_reached_is_inf():
-    rows = [{"step": 0, "task": "C", "split": "val", "metric": "accuracy",
-             "value": 0.5}]
-    assert steps_to_accuracy(rows, "C") == float("inf")

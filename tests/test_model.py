@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from dynmem import nn
-from dynmem.model import ConvNetClassifier, gradient_check
-from dynmem.validation import ConfigError, ShapeError, StateError
+from dynmem.model import FISHER_CHUNK, NORM_STATS_BLOCK, ConvNetClassifier, gradient_check
+from dynmem.validation import ConfigError, DivergenceError, ShapeError, StateError
 
 
 @pytest.fixture
@@ -118,6 +118,31 @@ def test_fit_loss_decreases_on_learnable_data(small_model):
     assert history[-1] < history[0]
 
 
+def test_fit_refits_norm_statistics_to_the_final_weights(small_model):
+    rng = np.random.default_rng(4)
+    count = NORM_STATS_BLOCK + 10  # two blocks
+    X = rng.random((count, 1, 16, 16)).astype(np.float32)
+    y = rng.integers(0, 2, count)
+    small_model.fit(X, y, epochs=1, rng=np.random.default_rng(5))
+    # each norm's input in eval mode over the whole fit data, in one batch
+    out = X
+    for layer in small_model.layers:
+        if isinstance(layer, nn.BatchNorm2d):
+            x64 = out.astype(np.float64)
+            np.testing.assert_allclose(layer.running_mean, x64.mean(axis=(0, 2, 3)),
+                                       rtol=1e-4, atol=1e-6)
+            np.testing.assert_allclose(layer.running_var, x64.var(axis=(0, 2, 3)),
+                                       rtol=1e-4, atol=1e-6)
+        out = layer.forward(out, "eval")
+
+
+def test_fit_raises_at_the_first_non_finite_loss(small_model, images16):
+    small_model.learning_rate = 1e30
+    small_model.reset_optimizer()
+    with pytest.raises(DivergenceError, match="epoch 1"):
+        small_model.fit(images16, np.array([0, 1, 0, 1, 0, 1]), epochs=3, batch_size=2)
+
+
 def test_frozen_norm_blocks_stats_and_affine_updates(small_model, images16):
     y = np.array([0, 1, 0, 1, 0, 1])
     small_model.train_step(images16, y)  # move running stats off the init values
@@ -162,6 +187,37 @@ def test_fisher_single_example_equals_squared_gradient(small_model, images16):
     small_model.backward(dlogit, train=False)
     for n, g in small_model.named_grads().items():
         np.testing.assert_allclose(fisher[n], g.astype(np.float64) ** 2, rtol=1e-5)
+
+
+def fisher_by_single_examples(model, X, y, idx):
+    """Fisher oracle: one eval-mode forward/backward per example."""
+    fisher = {n: np.zeros(p.shape) for n, p in model.named_params().items()}
+    for i in idx:
+        model.zero_grads()
+        logits, _ = model.forward_with_taps(X[i : i + 1], train=False)
+        _, dlogit = nn.bce_loss(logits, y[i : i + 1])
+        model.backward(dlogit, train=False)
+        for n, g in model.named_grads().items():
+            fisher[n] += g.astype(np.float64) ** 2
+    return {n: f / len(idx) for n, f in fisher.items()}
+
+
+@pytest.mark.parametrize("sample_count", [None, FISHER_CHUNK + 5])
+def test_batched_fisher_equals_single_example_loop(sample_count):
+    model = ConvNetClassifier(dtype=np.float64, random_state=3)
+    rng = np.random.default_rng(7)
+    count = 2 * FISHER_CHUNK + 5  # not a multiple of the chunk
+    X = rng.random((count, 1, 32, 32))
+    y = rng.integers(0, 2, count)
+    model.fit(X, y, epochs=1, rng=np.random.default_rng(8))
+    fisher = model.fisher_diagonal(X, y, sample_count=sample_count,
+                                   rng=np.random.default_rng(9))
+    idx = np.arange(count) if sample_count is None else \
+        np.random.default_rng(9).choice(count, size=sample_count, replace=False)
+    expected = fisher_by_single_examples(model, X, y, idx)
+    assert set(fisher) == set(expected)
+    for n, f in expected.items():
+        np.testing.assert_allclose(fisher[n], f, rtol=1e-12, atol=1e-12 * f.max(), err_msg=n)
 
 
 def test_fisher_empty_dataset_raises(small_model):

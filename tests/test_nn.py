@@ -25,6 +25,24 @@ def conv_reference(x, w, stride, padding):
     return out
 
 
+def conv_backward_reference(x, w, grad_out, stride, padding):
+    """(dx, dw) by scattering each output position's gradient back over its
+    receptive field (slow, obviously the adjoint of conv_reference)."""
+    k = w.shape[2]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for i in range(grad_out.shape[2]):
+        for j in range(grad_out.shape[3]):
+            window = (slice(None), slice(None),
+                      slice(i * stride, i * stride + k), slice(j * stride, j * stride + k))
+            g = grad_out[:, :, i, j]
+            dxp[window] += np.einsum("no,oikl->nikl", g, w)
+            dw += np.einsum("no,nikl->oikl", g, xp[window])
+    h, wid = x.shape[2], x.shape[3]
+    return dxp[:, :, padding : padding + h, padding : padding + wid], dw
+
+
 def conv(x, w, stride=1, padding=0):
     """Conv2d.forward with the given float64 kernels."""
     layer = nn.Conv2d(w.shape[1], w.shape[0], w.shape[2], stride=stride, padding=padding,
@@ -66,6 +84,51 @@ def test_conv_matches_bruteforce_reference(stride, padding):
     w = rng.standard_normal((4, 3, 3, 3))
     out = conv(x, w, stride=stride, padding=padding)
     np.testing.assert_allclose(out, conv_reference(x, w, stride, padding), rtol=1e-10)
+
+
+# (in channels, out channels, input size, stride) of the default model's convs
+MODEL_CONV_SHAPES = [(1, 8, 32, 1), (8, 8, 32, 2), (8, 16, 16, 1), (16, 16, 16, 2),
+                     (16, 32, 8, 1), (32, 32, 8, 2), (32, 64, 4, 1), (64, 64, 4, 2)]
+
+
+@pytest.mark.parametrize("n", [1, 8, nn.CONV_BLOCK + 3])
+@pytest.mark.parametrize("c_in,c_out,size,stride", MODEL_CONV_SHAPES)
+def test_conv_forward_and_backward_match_bruteforce_on_model_shapes(c_in, c_out, size,
+                                                                     stride, n):
+    # batches of one block reuse the forward's column matrix in backward; a
+    # batch that is not a multiple of the block rebuilds it block by block
+    rng = np.random.default_rng(c_in * 100 + c_out + stride + n)
+    x = rng.standard_normal((n, c_in, size, size))
+    w = rng.standard_normal((c_out, c_in, 3, 3))
+    layer = nn.Conv2d(c_in, c_out, 3, stride=stride, padding=1, dtype=np.float64)
+    layer.params["weight"][...] = w
+    out = layer.forward(x, "train")
+    np.testing.assert_allclose(out, conv_reference(x, w, stride, 1), rtol=1e-12, atol=1e-12)
+    grad_out = rng.standard_normal(out.shape)
+    layer.zero_grads()
+    dx = layer.backward(grad_out, "train")
+    dx_ref, dw_ref = conv_backward_reference(x, w, grad_out, stride, 1)
+    np.testing.assert_allclose(dx, dx_ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(layer.grads["weight"], dw_ref, rtol=1e-12, atol=1e-12)
+
+
+def test_float32_conv_output_and_weight_gradient_are_rounded_once():
+    # the GEMMs accumulate in float64: each float32 result is the exact
+    # value rounded once, within half a float32 ulp
+    rng = np.random.default_rng(3)
+    for c_in, c_out, size, stride in MODEL_CONV_SHAPES:
+        x = rng.standard_normal((8, c_in, size, size)).astype(np.float32)
+        layer = nn.Conv2d(c_in, c_out, 3, stride=stride, padding=1, rng=rng)
+        out = layer.forward(x, "train")
+        grad_out = rng.standard_normal(out.shape).astype(np.float32)
+        layer.backward(grad_out, "train")
+        w = layer.params["weight"].astype(np.float64)
+        exact_out = conv_reference(x.astype(np.float64), w, stride, 1)
+        _, exact_dw = conv_backward_reference(x.astype(np.float64), w,
+                                              grad_out.astype(np.float64), stride, 1)
+        for got, exact in ((out, exact_out), (layer.grads["weight"], exact_dw)):
+            half_ulp = 0.5 * np.spacing(np.abs(exact).astype(np.float32)).astype(np.float64)
+            assert np.all(np.abs(got - exact) <= half_ulp * (1 + 1e-6)), (c_in, c_out, stride)
 
 
 def test_conv_is_linear_in_the_input():

@@ -4,7 +4,7 @@ naive, EWC and EWC-frozen-norm baselines on a synthetic shifted image stream.
 
 from .data import Corpus, CorpusConfig, Dataset, build_corpus, build_schedule, emit_stream
 from .experiment import ExperimentConfig, run_base_training, run_continual, run_full_training
-from .gram import GramSignature, gram_distance, gram_matrix, signature, signatures
+from .gram import gram_distance, gram_matrix, signatures
 from .memory import DynamicMemory, InsertOutcome, MemoryItem
 from .model import ConvNetClassifier, gradient_check
 from .strategies import DMStrategy, EWCStrategy, NaiveStrategy, StepReport, make_strategy
@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Corpus", "CorpusConfig", "Dataset", "build_corpus", "build_schedule", "emit_stream",
     "ExperimentConfig", "run_base_training", "run_continual", "run_full_training",
-    "GramSignature", "gram_distance", "gram_matrix", "signature", "signatures",
+    "gram_distance", "gram_matrix", "signatures",
     "DynamicMemory", "InsertOutcome", "MemoryItem",
     "ConvNetClassifier", "gradient_check",
     "DMStrategy", "EWCStrategy", "NaiveStrategy", "StepReport", "make_strategy",

@@ -58,6 +58,8 @@ def _checked(convert, valid, what):
 COUNT = _checked(int, lambda v: v >= 1, "a positive integer")
 MEMORY_SIZE = _checked(int, lambda v: v >= 2 and v % 2 == 0, "an even integer >= 2")
 FINITE = _checked(float, math.isfinite, "a finite number")
+RAMP_FRACTION = _checked(float, lambda v: math.isfinite(v) and 0.0 <= v < 0.5,
+                         "a finite number in [0, 0.5)")
 
 
 def _add_common(p):
@@ -68,14 +70,16 @@ def _add_common(p):
 
 
 def _add_corpus_flags(p):
-    p.add_argument("--image-size", type=int, default=32)
-    p.add_argument("--base-n", type=int, default=600, help="base split size (task A)")
-    p.add_argument("--cont-a", type=int, default=600)
-    p.add_argument("--cont-b", type=int, default=400)
-    p.add_argument("--cont-c", type=int, default=950)
-    p.add_argument("--eval-n", type=int, default=150,
+    p.add_argument("--image-size", type=COUNT, default=32)
+    p.add_argument("--base-n", type=COUNT, default=600, help="base split size (task A)")
+    p.add_argument("--cont-a", type=COUNT, default=600)
+    p.add_argument("--cont-b", type=COUNT, default=400)
+    p.add_argument("--cont-c", type=COUNT, default=950)
+    p.add_argument("--eval-n", type=COUNT, default=150,
                    help="validation/test size per task")
-    p.add_argument("--ramp-fraction", type=float, default=0.15)
+    p.add_argument("--ramp-fraction", type=RAMP_FRACTION, default=0.15,
+                   help="share of the shorter adjacent segment carved into each "
+                        "side of a transition ramp; 0 is an abrupt shift")
 
 
 def _add_training_flags(p):

@@ -155,9 +155,6 @@ class Corpus:
     config: CorpusConfig
     seed: int
 
-    def split(self, name):
-        return getattr(self, name)
-
 
 def build_corpus(cfg=CorpusConfig(), seed=0):
     """Deterministic {base, continuous, validation, test} corpus.
@@ -262,6 +259,8 @@ def emit_stream(continuous, schedule, rng):
         assignment[pure_mask[:, t_idx]] = t_idx
     for span_i, (start, end) in enumerate(schedule.ramp_spans):
         width = end - start
+        if not width:  # a zero-width ramp is an abrupt shift
+            continue
         w_first = schedule.weights[start:end, span_i]
         k_first = width // 2  # equal carve from both adjacent segments
         pick = rng.choice(width, size=k_first, replace=False, p=w_first / w_first.sum())
@@ -298,7 +297,7 @@ def save_corpus(corpus, out_dir):
         "counts": {},
     }
     for split in SPLITS:
-        ds = corpus.split(split)
+        ds = getattr(corpus, split)
         manifest["counts"][split] = {t: int(np.sum(ds.tasks == t)) for t in TASKS}
         task_codes = np.array([TASKS.index(t) for t in ds.tasks], dtype=np.uint8)
         header = {

@@ -4,7 +4,8 @@ Update rules: (1) every incoming sample is stored; (2) a sample can only
 replace a stored item of the same class; (3) the replaced item is the
 same-class item closest in gram distance, so visually distant (older-style)
 items resist replacement. Until a class reaches its quota, items append
-(fill phase).
+(fill phase). The signature of items[i] is row i of the per-tap stacks in
+`grams`.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import GramSignature, gram_distance
+from .gram import gram_distance
 from .validation import ConfigError, StateError
 
 
@@ -20,7 +21,6 @@ from .validation import ConfigError, StateError
 class MemoryItem:
     image: np.ndarray
     label: int
-    signature: GramSignature
     step: int
     task_id: str = "?"  # evaluation-only diagnostics, never used by the policy
     distance: float = float("nan")  # gram distance to the item this one replaced
@@ -43,6 +43,7 @@ class DynamicMemory:
         self.capacity = capacity
         self.quota = capacity // 2
         self.items = []
+        self.grams = None  # one (capacity, N, N) float64 stack per tap
 
     def __len__(self):
         return len(self.items)
@@ -53,24 +54,29 @@ class DynamicMemory:
     def argmin_replacement_index(self, label, signature):
         """(index, distance) of the same-class item with minimal gram distance
         to the incoming signature; ties break to the lowest index (oldest)."""
-        candidates = [(gram_distance(signature, it.signature), i)
-                      for i, it in enumerate(self.items) if it.label == label]
-        if not candidates:
+        rows = [i for i, it in enumerate(self.items) if it.label == label]
+        if not rows:
             raise StateError(f"no stored item of class {label} to replace")
-        distance, index = min(candidates)
-        return index, distance
+        distances = gram_distance(signature, [g[rows] for g in self.grams])
+        best = int(np.argmin(distances))
+        return rows[best], float(distances[best])
 
     def insert(self, image, label, signature, step, task_id="?"):
         """Store one incoming sample; append while the class quota is open,
         otherwise replace the closest same-class item."""
-        item = MemoryItem(np.asarray(image), int(label), signature, step, task_id)
+        item = MemoryItem(np.asarray(image), int(label), step, task_id)
+        if self.grams is None:
+            self.grams = [np.zeros((self.capacity, *g.shape)) for g in signature]
         if self.class_count(label) < self.quota:
+            outcome = InsertOutcome("appended", len(self.items))
             self.items.append(item)
-            return InsertOutcome("appended", len(self.items) - 1)
-        idx, dist = self.argmin_replacement_index(label, signature)
-        item.distance = dist
-        self.items[idx] = item
-        return InsertOutcome("replaced", idx, dist)
+        else:
+            outcome = InsertOutcome("replaced", *self.argmin_replacement_index(label, signature))
+            item.distance = outcome.distance
+            self.items[outcome.index] = item
+        for g, row in zip(self.grams, signature):
+            g[outcome.index] = row
+        return outcome
 
     def draw_rehearsal(self, k, rng):
         """Uniform draw of up to k items without replacement."""
@@ -81,14 +87,15 @@ class DynamicMemory:
         return [self.items[i] for i in idx]
 
     def refresh_signatures(self, signature_fn, labels=None):
-        """Recompute stored signatures under the current model (fidelity
-        switch; default policy keeps insertion-time signatures)."""
-        targets = [it for it in self.items if labels is None or it.label in labels]
-        if not targets:
+        """Recompute stored signatures in place under the current model
+        (fidelity switch; default policy keeps insertion-time signatures).
+        `signature_fn(images)` gives one (K, N, N) stack per tap."""
+        rows = [i for i, it in enumerate(self.items) if labels is None or it.label in labels]
+        if not rows:
             return
-        images = np.stack([it.image for it in targets])
-        for it, sig in zip(targets, signature_fn(images)):
-            it.signature = sig
+        images = np.stack([self.items[i].image for i in rows])
+        for g, stack in zip(self.grams, signature_fn(images)):
+            g[rows] = stack
 
     def dump(self):
         """Diagnostic text: one line per item {step, label, task, distance}."""

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import signatures, signatures_from_taps
+from .gram import gram_matrix, signatures
 from .memory import DynamicMemory
 from .validation import ConfigError, StateError
 
@@ -115,12 +115,12 @@ class DMStrategy:
         # shared eval-mode pass: predictions and signatures under the current model
         logits, taps = self.model.forward_with_taps(images, train=False)
         preds = (logits > 0).astype(np.int64)
-        sigs = signatures_from_taps(taps, self.model.version)
+        grams = [gram_matrix(t) for t in taps]
         if self.recompute_signatures:
             self.memory.refresh_signatures(lambda X: signatures(self.model, X),
                                            labels=set(labels.tolist()))
-        kinds = [self.memory.insert(img, lab, sig, self.step_count, task).kind
-                 for img, lab, sig, task in zip(images, labels, sigs, tasks)]
+        kinds = [self.memory.insert(img, lab, [g[i] for g in grams], self.step_count, task).kind
+                 for i, (img, lab, task) in enumerate(zip(images, labels, tasks))]
         mis = preds != labels
         n_mis = int(mis.sum())
         drawn = self.memory.draw_rehearsal(self.train_batch_size - n_mis, rng)

@@ -15,7 +15,7 @@ import pytest
 from dynmem import evaluation as ev
 from dynmem.cli import main
 from dynmem.data import TASKS, CorpusConfig, build_corpus, build_schedule
-from dynmem.gram import GramSignature, gram_distance, gram_matrix, signature
+from dynmem.gram import gram_distance, gram_matrix, signatures
 from dynmem.memory import DynamicMemory
 from dynmem.model import ConvNetClassifier, gradient_check
 from dynmem.experiment import (ExperimentConfig, run_base_training, run_continual,
@@ -100,9 +100,9 @@ def test_gram_matrix_and_distance_match_bruteforce():
                 brute[i, j] = float(flat[i] @ flat[j]) / (n * flat.shape[1])
         np.testing.assert_allclose(g, brute, atol=1e-6)
 
-    a = GramSignature([rng.standard_normal((3, 3)) for _ in range(4)])
-    b = GramSignature([m + rng.standard_normal(m.shape) for m in a.matrices])
-    expected = sum(((x - y) ** 2).sum() / x.size for x, y in zip(a.matrices, b.matrices))
+    a = [rng.standard_normal((3, 3)) for _ in range(4)]
+    b = [m + rng.standard_normal(m.shape) for m in a]
+    expected = sum(((x - y) ** 2).sum() / x.size for x, y in zip(a, b))
     np.testing.assert_allclose(gram_distance(a, b), expected, atol=1e-6)
 
 
@@ -111,7 +111,8 @@ def test_gram_distance_is_a_premetric_on_real_signatures():
     corpus = build_corpus(CorpusConfig(base_count=8, continuous_counts=(8, 8, 8),
                                        eval_count=8), seed=9)
     images = corpus.test.images
-    sigs = [signature(model, img) for img in images]
+    stacks = signatures(model, images)
+    sigs = [[g[i] for g in stacks] for i in range(len(images))]
     for i, a in enumerate(sigs):
         assert gram_distance(a, a) == 0.0
         for b in sigs[i + 1:]:
@@ -129,10 +130,10 @@ def test_memory_replacement_matches_exhaustive_argmin_at_scale():
         mem = DynamicMemory(capacity)
         for step in range(2500):
             label = int(rng.integers(0, 2))
-            sig = GramSignature([rng.standard_normal((2, 2))])
+            sig = [rng.standard_normal((2, 2))]
             if mem.class_count(label) >= mem.quota:
                 expected = min(
-                    ((gram_distance(sig, it.signature), i)
+                    ((gram_distance(sig, [g[i] for g in mem.grams]), i)
                      for i, it in enumerate(mem.items) if it.label == label),
                     key=lambda t: (t[0], t[1]))[1]
                 outcome = mem.insert(np.zeros((1, 2, 2)), label, sig, step)

@@ -191,11 +191,21 @@ def exit_code(argv):
     pytest.param("train-base", ["--lr", "nan"], "--lr", id="lr-nan"),
     pytest.param("continual", ["--stream-lr", "inf"], "--stream-lr", id="stream-lr-inf"),
     pytest.param("continual", ["--lambda", "nan"], "--lambda", id="lambda-nan"),
+    pytest.param("generate", ["--ramp-fraction", "nan"], "--ramp-fraction", id="ramp-nan"),
+    pytest.param("generate", ["--ramp-fraction", "2"], "--ramp-fraction", id="ramp-2"),
+    pytest.param("generate", ["--ramp-fraction", "0.5"], "--ramp-fraction", id="ramp-half"),
+    pytest.param("generate", ["--ramp-fraction", "-0.1"], "--ramp-fraction", id="ramp-negative"),
+    pytest.param("generate", ["--cont-c", "0"], "--cont-c", id="cont-c-zero"),
+    pytest.param("generate", ["--eval-n", "0"], "--eval-n", id="eval-n-zero"),
+    pytest.param("generate", ["--base-n", "-5"], "--base-n", id="base-n-negative"),
+    pytest.param("generate", ["--image-size", "0"], "--image-size", id="image-size-zero"),
 ])
 def test_bad_flag_is_usage_error_naming_the_flag(tmp_path, capsys, command, flags, named):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("seeds = 1\nmomentum = 0.9\n")
-    argv = [command, "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "out")]
+    argv = [command, "--out", str(tmp_path / "out")]
+    if command != "generate":
+        argv += ["--corpus", str(tmp_path / "corpus")]
     if command == "continual":
         argv += ["--strategy", "dm"]
     capsys.readouterr()

@@ -148,7 +148,7 @@ def test_corpus_split_counts(corpus):
 
 def test_corpus_balanced_labels_per_split_task(corpus):
     for split in ("base", "continuous", "validation", "test"):
-        ds = corpus.split(split)
+        ds = getattr(corpus, split)
         for task in TASKS:
             sub = ds.task_subset(task)
             if len(sub):
@@ -156,7 +156,7 @@ def test_corpus_balanced_labels_per_split_task(corpus):
 
 
 def test_corpus_ids_disjoint_across_splits(corpus):
-    all_ids = np.concatenate([corpus.split(s).ids
+    all_ids = np.concatenate([getattr(corpus, s).ids
                               for s in ("base", "continuous", "validation", "test")])
     assert len(np.unique(all_ids)) == len(all_ids)
 
@@ -209,6 +209,15 @@ def test_stream_ramp_midpoint_mixture(corpus):
     assert 0.4 <= frac_a <= 0.6
 
 
+def test_zero_width_ramp_is_an_abrupt_shift(corpus):
+    sched = build_schedule(SMALL.continuous_counts, ramp_fraction=0.0)
+    assert all(start == end for start, end in sched.ramp_spans)
+    stream = emit_stream(corpus.continuous, sched, np.random.default_rng(2))
+    expected = np.repeat(TASKS, SMALL.continuous_counts)
+    np.testing.assert_array_equal(stream.tasks, expected)
+    assert sorted(stream.ids) == sorted(corpus.continuous.ids)
+
+
 def test_stream_length_mismatch_raises(corpus):
     sched = build_schedule([10, 10, 10])
     with pytest.raises(ConfigError):
@@ -223,7 +232,7 @@ def test_corpus_save_load_round_trip(tmp_path, corpus):
     assert loaded.config == corpus.config
     assert loaded.seed == corpus.seed
     for split in ("base", "continuous", "validation", "test"):
-        a, b = corpus.split(split), loaded.split(split)
+        a, b = getattr(corpus, split), getattr(loaded, split)
         np.testing.assert_array_equal(a.images, b.images)
         np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(a.tasks, b.tasks)

@@ -1,8 +1,12 @@
-"""Tests for gram matrices, gram signatures and the gram distance."""
+"""Tests for gram matrices, gram signatures and the gram distance.
+
+A signature is a list of per-tap (N, N) gram matrices; a batch's signatures
+are one (B, N, N) stack per tap.
+"""
 import numpy as np
 import pytest
 
-from dynmem.gram import GramSignature, gram_distance, gram_matrix, signature, signatures
+from dynmem.gram import gram_distance, gram_matrix, signatures
 from dynmem.model import ConvNetClassifier
 from dynmem.validation import ShapeError
 
@@ -22,7 +26,7 @@ def gram_reference(feature_maps):
 def distance_reference(a, b):
     """Summation oracle for the gram distance."""
     total = 0.0
-    for ga, gb in zip(a.matrices, b.matrices):
+    for ga, gb in zip(a, b):
         n = ga.shape[0]
         for i in range(n):
             for j in range(n):
@@ -31,7 +35,12 @@ def distance_reference(a, b):
 
 
 def random_signature(rng, sizes=(2, 3)):
-    return GramSignature([gram_matrix(rng.standard_normal((n, 4, 4))) for n in sizes])
+    return [gram_matrix(rng.standard_normal((n, 4, 4))) for n in sizes]
+
+
+def signature(model, image):
+    """Signature of one image: row 0 of its batch-of-one stacks."""
+    return [g[0] for g in signatures(model, image[None])]
 
 
 # -- gram_matrix -----------------------------------------------------------
@@ -81,8 +90,8 @@ def test_distance_to_self_is_zero():
 
 
 def test_distance_single_entry_hand_oracle():
-    a = GramSignature([np.array([[2.0]])])
-    b = GramSignature([np.array([[0.0]])])
+    a = [np.array([[2.0]])]
+    b = [np.array([[0.0]])]
     assert gram_distance(a, b) == 4.0
 
 
@@ -121,20 +130,19 @@ def test_identical_images_give_identical_signatures(model):
     a = signature(model, img)
     b = signature(model, img)
     assert gram_distance(a, b) == 0.0
-    assert a.model_version == model.version
 
 
 def test_signature_layer_sizes_follow_architecture(model):
     rng = np.random.default_rng(7)
     sig = signature(model, rng.random((1, 16, 16)).astype(np.float32))
-    assert sig.layer_sizes() == (2, 3, 4, 5)
+    assert [g.shape for g in sig] == [(2, 2), (3, 3), (4, 4), (5, 5)]
 
 
 def test_default_architecture_signature_sizes():
     big = ConvNetClassifier()
     rng = np.random.default_rng(8)
     sig = signature(big, rng.random((1, 32, 32)).astype(np.float32))
-    assert sig.layer_sizes() == (8, 16, 32, 64)
+    assert [g.shape for g in sig] == [(8, 8), (16, 16), (32, 32), (64, 64)]
 
 
 def test_signature_not_scale_invariant(model):
@@ -147,5 +155,32 @@ def test_batched_signatures_match_single_passes(model):
     rng = np.random.default_rng(10)
     X = rng.random((4, 1, 16, 16)).astype(np.float32)
     batched = signatures(model, X)
-    for i, sig in enumerate(batched):
+    assert [g.shape for g in batched] == [(4, 2, 2), (4, 3, 3), (4, 4, 4), (4, 5, 5)]
+    for i in range(4):
+        sig = [g[i] for g in batched]
         np.testing.assert_allclose(gram_distance(sig, signature(model, X[i])), 0.0, atol=1e-10)
+
+
+def test_stacked_forms_equal_the_per_image_and_per_pair_results_exactly():
+    """Batched gram matrices equal, bit for bit, one `flat @ flat.T` per
+    image, and stacked distances equal a per-pair loop over the taps; the
+    memory's replacement choices and dumped distances rest on this."""
+    big = ConvNetClassifier(random_state=0)
+    rng = np.random.default_rng(11)
+    for n in (1, 8, 150):
+        _, taps = big.forward_with_taps(rng.random((n, 1, 32, 32)).astype(np.float32))
+        stacks = [gram_matrix(t) for t in taps]
+        for t, stack in zip(taps, stacks):
+            c, h, w = t.shape[1:]
+            for i in range(n):
+                flat = np.asarray(t[i], dtype=np.float64).reshape(c, h * w)
+                assert np.array_equal(stack[i], flat @ flat.T / (c * h * w))
+        incoming = [g[-1] for g in stacks]
+        distances = gram_distance(incoming, stacks)
+        assert distances.shape == (n,) and distances[-1] == 0.0
+        for i in range(n):
+            total = 0.0
+            for x, g in zip(incoming, stacks):
+                diff = x - g[i]
+                total += float(np.sum(diff * diff)) / (x.shape[0] ** 2)
+            assert distances[i] == total

@@ -4,14 +4,14 @@ gram-distance replacement and rehearsal draws.
 import numpy as np
 import pytest
 
-from dynmem.gram import GramSignature, gram_distance
+from dynmem.gram import gram_distance
 from dynmem.memory import DynamicMemory
 from dynmem.validation import ConfigError, StateError
 
 
 def sig(value):
     """Scalar stand-in signature: distance between sig(a), sig(b) is (a-b)^2."""
-    return GramSignature([np.array([[float(value)]])])
+    return [np.array([[float(value)]])]
 
 
 def fill_class(memory, label, values, start_step=0):
@@ -86,7 +86,7 @@ def test_randomized_inserts_match_bruteforce_argmin():
             label = int(rng.integers(0, 2))
             incoming = sig(rng.normal())
             if mem.class_count(label) >= mem.quota:
-                candidates = [(gram_distance(incoming, it.signature), i)
+                candidates = [(gram_distance(incoming, [g[i] for g in mem.grams]), i)
                               for i, it in enumerate(mem.items) if it.label == label]
                 expected = min(candidates, key=lambda t: (t[0], t[1]))[1]
                 outcome = mem.insert(np.zeros((1, 2, 2)), label, incoming, step)
@@ -136,8 +136,7 @@ def test_refresh_signatures_recomputes_selected_labels():
     fill_class(mem, 1, [3.0])
 
     def new_sigs(images):
-        return [sig(9.0) for _ in range(len(images))]
+        return [np.full((len(images), 1, 1), 9.0)]
 
     mem.refresh_signatures(new_sigs, labels={0})
-    values = [it.signature.matrices[0][0, 0] for it in mem.items]
-    assert values == [9.0, 9.0, 3.0]
+    assert mem.grams[0][:len(mem), 0, 0].tolist() == [9.0, 9.0, 3.0]

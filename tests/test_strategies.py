@@ -4,6 +4,7 @@ normalization, and the dynamic-memory rehearsal step.
 import numpy as np
 import pytest
 
+from dynmem.gram import gram_matrix
 from dynmem.model import ConvNetClassifier
 from dynmem.strategies import DMStrategy, EWCStrategy, NaiveStrategy, make_strategy
 from dynmem.validation import ConfigError, StateError
@@ -217,19 +218,33 @@ def test_dm_training_batch_fills_with_memory_draws():
     assert report.n_memory_drawn == len(train_labels)
 
 
+def pre_step_grams(model, images):
+    """Per-image signatures of `images` under `model`, from one batch pass."""
+    _, taps = model.forward_with_taps(images, train=False)
+    return [[gram_matrix(t[i]) for t in taps] for i in range(len(images))]
+
+
+def assert_rows_equal(memory, index, signature):
+    assert all(np.array_equal(g[index], want) for g, want in zip(memory.grams, signature))
+
+
 def test_dm_memory_update_precedes_model_update():
-    """Stored signatures carry the pre-update model version."""
+    """The rows stored in a step are, bit for bit, the grams of their images
+    under the model as it was before the step's update."""
     model = make_base_model(with_ewc=False, seed=13)
     strat = DMStrategy(model, memory_size=32)
     rng = np.random.default_rng(14)
     for i in range(3):
-        version_before = model.version
+        before = model.clone()
         X, y = batch(seed=400 + i)
+        expected = pre_step_grams(before, X)
+        start = len(strat.memory)
         strat.step(X, y, rng=rng)
-        assert model.version == version_before + 1
-        newest = [it for it in strat.memory.items if it.step == strat.step_count]
-        assert newest
-        assert all(it.signature.model_version == version_before for it in newest)
+        assert model.version == before.version + 1
+        assert len(strat.memory) == start + len(X)  # fill phase: every sample appends
+        for k, signature in enumerate(expected):
+            assert strat.memory.items[start + k].step == strat.step_count
+            assert_rows_equal(strat.memory, start + k, signature)
 
 
 def test_dm_respects_quota_under_streaming():
@@ -244,13 +259,28 @@ def test_dm_respects_quota_under_streaming():
 
 
 def test_dm_recompute_signatures_tracks_model_version():
+    """With refresh on, the stored rows of the batch's labels are re-signed,
+    bit for bit, under the model as it was before the step's update; the
+    other label's rows keep their values."""
     model = make_base_model(with_ewc=False, seed=16)
     strat = DMStrategy(model, memory_size=32, recompute_signatures=True)
     rng = np.random.default_rng(16)
     for i in range(3):
+        before = model.clone()
         X, y = batch(seed=600 + i)
+        if i == 1:
+            y = np.zeros_like(y)  # this step refreshes label 0 only
+        stored = list(strat.memory.items)
+        refreshed = [j for j, it in enumerate(stored) if it.label in y]
+        expected = pre_step_grams(before, np.stack([stored[j].image for j in refreshed])) \
+            if refreshed else []
+        untouched = {j: [g[j].copy() for g in strat.memory.grams]
+                     for j in range(len(stored)) if j not in refreshed}
+        assert len(untouched) == (4 if i == 1 else 0)
         strat.step(X, y, rng=rng)
-    versions = {it.signature.model_version for it in strat.memory.items
-                if it.step < strat.step_count}
-    # refreshed items were re-signed under the latest pre-update model
-    assert versions == {model.version - 1}
+        # fill phase: nothing stored before the step is replaced
+        assert all(strat.memory.items[j] is it for j, it in enumerate(stored))
+        for j, signature in zip(refreshed, expected):
+            assert_rows_equal(strat.memory, j, signature)
+        for j, signature in untouched.items():
+            assert_rows_equal(strat.memory, j, signature)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gram import gram_distance
-from .validation import ConfigError, StateError
+from .validation import ConfigError, ShapeError, StateError
 
 
 @dataclass
@@ -66,7 +66,10 @@ class DynamicMemory:
         otherwise replace the closest same-class item."""
         item = MemoryItem(np.asarray(image), int(label), step, task_id)
         if self.grams is None:
-            self.grams = [np.zeros((self.capacity, *g.shape)) for g in signature]
+            self.grams = [np.zeros((self.capacity, *np.shape(g))) for g in signature]
+        shapes, stored = [np.shape(g) for g in signature], [g.shape[1:] for g in self.grams]
+        if shapes != stored:
+            raise ShapeError(f"signatures have mismatched layer structure: {shapes} vs {stored}")
         if self.class_count(label) < self.quota:
             outcome = InsertOutcome("appended", len(self.items))
             self.items.append(item)

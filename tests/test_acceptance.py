@@ -128,18 +128,24 @@ def test_memory_replacement_matches_exhaustive_argmin_at_scale():
     inserts_done = 0
     for capacity in (4, 16, 60, 160):
         mem = DynamicMemory(capacity)
+        stored = []  # (label, signature) of items[i], kept apart from mem.grams
         for step in range(2500):
             label = int(rng.integers(0, 2))
             sig = [rng.standard_normal((2, 2))]
             if mem.class_count(label) >= mem.quota:
                 expected = min(
-                    ((gram_distance(sig, [g[i] for g in mem.grams]), i)
-                     for i, it in enumerate(mem.items) if it.label == label),
+                    ((gram_distance(sig, s), i)
+                     for i, (lab, s) in enumerate(stored) if lab == label),
                     key=lambda t: (t[0], t[1]))[1]
                 outcome = mem.insert(np.zeros((1, 2, 2)), label, sig, step)
                 assert outcome.kind == "replaced" and outcome.index == expected
+                stored[outcome.index] = (label, sig)
             else:
-                assert mem.insert(np.zeros((1, 2, 2)), label, sig, step).kind == "appended"
+                outcome = mem.insert(np.zeros((1, 2, 2)), label, sig, step)
+                assert outcome.kind == "appended" and outcome.index == len(stored)
+                stored.append((label, sig))
+            np.testing.assert_array_equal(mem.grams[0][outcome.index], sig[0])
+            assert [it.label for it in mem.items] == [lab for lab, _ in stored]
             assert len(mem) <= capacity
             assert max(mem.class_count(0), mem.class_count(1)) <= mem.quota
             inserts_done += 1

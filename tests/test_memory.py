@@ -6,7 +6,7 @@ import pytest
 
 from dynmem.gram import gram_distance
 from dynmem.memory import DynamicMemory
-from dynmem.validation import ConfigError, StateError
+from dynmem.validation import ConfigError, ShapeError, StateError
 
 
 def sig(value):
@@ -77,26 +77,49 @@ def test_argmin_without_candidates_raises():
 
 
 def test_randomized_inserts_match_bruteforce_argmin():
-    """Every replacement equals an exhaustive same-class scan, and the
-    capacity/quota invariants hold after every insert."""
+    """Every replacement equals an exhaustive same-class scan over a
+    test-local record of what was inserted, every stored row equals that
+    record, and the capacity/quota invariants hold after every insert."""
     rng = np.random.default_rng(0)
     for capacity in (4, 10, 32):
         mem = DynamicMemory(capacity)
+        stored = []  # (label, signature) of items[i], kept apart from mem.grams
         for step in range(400):
             label = int(rng.integers(0, 2))
             incoming = sig(rng.normal())
             if mem.class_count(label) >= mem.quota:
-                candidates = [(gram_distance(incoming, [g[i] for g in mem.grams]), i)
-                              for i, it in enumerate(mem.items) if it.label == label]
+                candidates = [(gram_distance(incoming, s), i)
+                              for i, (lab, s) in enumerate(stored) if lab == label]
                 expected = min(candidates, key=lambda t: (t[0], t[1]))[1]
                 outcome = mem.insert(np.zeros((1, 2, 2)), label, incoming, step)
                 assert outcome.kind == "replaced"
                 assert outcome.index == expected
+                stored[outcome.index] = (label, incoming)
+                assert mem.grams[0][outcome.index] == incoming[0]
             else:
-                assert mem.insert(np.zeros((1, 2, 2)), label, incoming, step).kind == "appended"
+                outcome = mem.insert(np.zeros((1, 2, 2)), label, incoming, step)
+                assert outcome.kind == "appended" and outcome.index == len(stored)
+                stored.append((label, incoming))
+            assert [it.label for it in mem.items] == [lab for lab, _ in stored]
+            np.testing.assert_array_equal(mem.grams[0][:len(stored)],
+                                          np.stack([s[0] for _, s in stored]))
             assert len(mem) <= capacity
             assert mem.class_count(0) <= mem.quota
             assert mem.class_count(1) <= mem.quota
+
+
+def test_insert_rejects_a_signature_of_another_tap_structure():
+    mem = DynamicMemory(4)
+    mem.insert(np.zeros((1, 2, 2)), 0, [np.zeros((2, 2)), np.zeros((3, 3))], 0)
+    for bad in ([np.zeros((2, 2))],
+                [np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((1, 1))],
+                [np.zeros((1, 1)), np.zeros((3, 3))],
+                [np.zeros((2, 2)), np.zeros((3, 4))]):
+        for label in (0, 1):  # append (class 1 open) and replace (class 0 full after 2)
+            with pytest.raises(ShapeError, match="mismatched layer structure"):
+                mem.insert(np.zeros((1, 2, 2)), label, bad, 1)
+    assert len(mem) == 1
+    assert not mem.grams[0][1:].any() and not mem.grams[1][1:].any()
 
 
 def test_full_class_count_never_changes_again():

@@ -10,13 +10,15 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluation as ev
 from .data import CorpusConfig, TASKS, build_corpus, load_corpus, save_corpus
-from .experiment import ExperimentConfig, run_base_training, run_continual, run_full_training
+from .experiment import (ExperimentConfig, map_seeds, run_base_training, run_continual,
+                         run_full_training)
 from .model import ConvNetClassifier
 from .validation import ConfigError
 
@@ -186,8 +188,8 @@ def cmd_train_base(args):
     cfg = _experiment_config(args)
     corpus = _load_corpus(args, cfg)
     args.out.mkdir(parents=True, exist_ok=True)
-    for seed in cfg.seeds():
-        model, rows = run_base_training(corpus, cfg, seed, with_ewc=not args.no_ewc)
+    train = partial(run_base_training, corpus, cfg, with_ewc=not args.no_ewc)
+    for (model, rows), seed in zip(map_seeds(train, cfg.seeds()), cfg.seeds()):
         model.save(args.out / f"base_seed{seed}.ckpt",
                    seed_provenance={"seed": seed, "corpus_seed": corpus.seed})
         _write_rows(args.out / f"metrics_base_seed{seed}.csv", rows)
@@ -196,23 +198,25 @@ def cmd_train_base(args):
     return 0
 
 
+def _continual_run(args, cfg, corpus, strategy, seed):
+    base_model = _base_checkpoint(getattr(args, "base", None) or args.out, seed)
+    if strategy in ("ewc", "ewc-fbn") and base_model.fisher is None:
+        raise ConfigError(f"strategy {strategy} needs a checkpoint with Fisher "
+                          f"information (re-run train-base without --no-ewc)")
+    return run_continual(corpus, base_model, strategy, cfg, seed)
+
+
 def _continual_runs(args, cfg, corpus, strategy, memory_size, out_dir):
     cfg.memory_size = memory_size
     summaries = []
-    for seed in cfg.seeds():
-        base_dir = getattr(args, "base", None) or args.out
-        base_model = _base_checkpoint(base_dir, seed)
-        if strategy in ("ewc", "ewc-fbn") and base_model.fisher is None:
-            raise ConfigError(f"strategy {strategy} needs a checkpoint with Fisher "
-                              f"information (re-run train-base without --no-ewc)")
-        result = run_continual(corpus, base_model, strategy, cfg, seed)
-        run_dir = out_dir / f"seed{seed}"
+    for result in map_seeds(partial(_continual_run, args, cfg, corpus, strategy), cfg.seeds()):
+        run_dir = out_dir / f"seed{result.seed}"
         _write_rows(run_dir / "metrics.csv", result.rows)
         _write_json(run_dir / "summary.json", result.summary)
         if result.memory_dump is not None:
             (run_dir / "memory_dump.txt").write_text(result.memory_dump)
         summaries.append(result.summary)
-        print(f"{strategy} seed {seed}: accA={result.summary['acc_A']:.3f} "
+        print(f"{strategy} seed {result.seed}: accA={result.summary['acc_A']:.3f} "
               f"bwt={result.summary['bwt']:.3f}", file=sys.stderr)
     agg = ev.aggregate_summaries(summaries, ("acc_A", "acc_B", "acc_C", "bwt", "fwt", "area_C"))
     _write_json(out_dir / "summary.json",
@@ -247,9 +251,8 @@ def cmd_full_training(args):
     cfg = _experiment_config(args)
     corpus = _load_corpus(args, cfg)
     summaries = []
-    for seed in cfg.seeds():
-        result = run_full_training(corpus, cfg, seed)
-        run_dir = args.out / "full" / f"seed{seed}"
+    for result in map_seeds(partial(run_full_training, corpus, cfg), cfg.seeds()):
+        run_dir = args.out / "full" / f"seed{result.seed}"
         _write_rows(run_dir / "metrics.csv", result.rows)
         _write_json(run_dir / "summary.json", result.summary)
         summaries.append(result.summary)

@@ -2,12 +2,15 @@
 
 Everything is a pure function of (config, corpus, seed): stream order,
 weight init and training randomness derive from independent seeded
-generators, so strategy choice never perturbs the stream.
+generators, so strategy choice never perturbs the stream. That is also why
+`map_seeds` may run seeds in parallel: the results do not depend on where or
+alongside what a seed runs.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -58,6 +61,57 @@ class ExperimentConfig:
     def new_model(self, seed):
         return ConvNetClassifier(image_size=self.image_size,
                                  learning_rate=self.learning_rate, random_state=seed)
+
+
+def usable_cores():
+    """Cores this process may run on: its affinity mask, where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_seeds(fn, seeds):
+    """Yield `fn(seed)` for each seed, in seed order, with the seeds run in parallel.
+
+    There is one worker per usable core, and at most one per seed. With one
+    worker this is a loop in this process. Otherwise the workers are forked
+    when the first result is asked for, so they inherit `fn` and all it refers
+    to (corpus, config, models) instead of unpickling it; only the seeds and
+    the results are pickled. An exception that `fn(seed)` raises in a worker
+    is raised here when that seed's turn comes. The pool is shut down, with
+    the seeds not yet started cancelled, when the generator is exhausted,
+    raises, or is closed or dropped.
+    """
+    seeds = list(seeds)
+    workers = min(len(seeds), usable_cores())
+    if workers <= 1:
+        for seed in seeds:
+            yield fn(seed)
+        return
+    # imported here, so that a command with one seed does not pay ~20 ms to load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_inherit, initargs=(fn,))
+    try:
+        futures = [pool.submit(_call_inherited, seed) for seed in seeds]
+        for future in futures:
+            yield future.result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+_inherited_fn = None  # set in each forked worker by _inherit, never in the parent
+
+
+def _inherit(fn):
+    global _inherited_fn
+    _inherited_fn = fn
+
+
+def _call_inherited(seed):
+    return _inherited_fn(seed)
 
 
 @dataclass
@@ -120,6 +174,11 @@ def run_continual(corpus, base_model, strategy_name, cfg, seed):
         task: min(pos // b + 1, total_steps)
         for task, pos in schedule.checkpoint_positions().items()
     }
+    if checkpoint_steps["B"] >= total_steps:
+        # area_C averages the probes after B's checkpoint; the last probe is the final step
+        raise ConfigError(f"task C's segment ends before any validation probe after task B's "
+                          f"checkpoint (step {checkpoint_steps['B']} of {total_steps}), so "
+                          f"area_C is undefined; generate the corpus with a longer --cont-c")
     probe_at = set(ev.probe_steps(total_steps, cfg.probe_every))
     step_metrics = ("loss", "batch_accuracy", "n_misclassified") if strategy_name == "dm" \
         else ("loss", "batch_accuracy")

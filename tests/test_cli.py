@@ -1,10 +1,18 @@
 """End-to-end tests for the command-line driver on a tiny corpus."""
+import filecmp
 import json
+import os
 import shutil
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dynmem
 from dynmem.cli import main
+from dynmem.experiment import usable_cores
 
 
 @pytest.fixture(scope="module")
@@ -244,3 +252,81 @@ def test_truncated_file_is_runtime_error_naming_the_file(workspace, tmp_path, ca
                          "--base", str(bad_base)) == 1
     err = capsys.readouterr().err
     assert str(path) in err and "truncated" in err
+
+
+@pytest.mark.parametrize("seeds", ["1", "2"])
+def test_task_c_too_short_for_its_area_is_runtime_error(tmp_path, capsys, seeds):
+    # at --seeds 2 each seed runs, and fails, in a worker when two cores are usable
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    assert main(["generate", "--out", str(corpus), "--base-n", "40", "--cont-a", "40",
+                 "--cont-b", "20", "--cont-c", "1", "--eval-n", "10"]) == 0
+    assert main(["train-base", "--corpus", str(corpus), "--out", str(out),
+                 "--seeds", seeds, "--base-epochs", "1"]) == 0
+    capsys.readouterr()
+    assert main(["continual", "--corpus", str(corpus), "--out", str(out),
+                 "--seeds", seeds, "--strategy", "dm"]) == 1
+    err = capsys.readouterr().err
+    assert "task C's segment ends before any validation probe after task B's checkpoint" in err
+    assert "--cont-c" in err and "Traceback" not in err
+    assert not (out / "dm_M32").exists()
+
+
+def cli(log, *args, **popen):
+    """`dynmem` run in a subprocess that imports this checkout's package; its exit
+    code, once the command itself has exited, and what it wrote to stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dynmem.__file__).parents[1]))
+    with open(log, "w") as stderr:
+        # stderr goes to a file: a process left behind would hold a pipe open
+        proc = subprocess.Popen([sys.executable, "-m", "dynmem.cli", *map(str, args)],
+                                env=env, stderr=stderr, **popen)
+        code = proc.wait(timeout=300)
+    return code, Path(log).read_text(), proc.pid
+
+
+def differing_files(a, b):
+    """Relative paths that are in only one tree or differ byte for byte."""
+    names = {p.relative_to(root) for root in (a, b) for p in root.rglob("*") if p.is_file()}
+    _match, mismatch, errors = filecmp.cmpfiles(a, b, sorted(map(str, names)), shallow=False)
+    return mismatch + errors
+
+
+@pytest.mark.skipif(usable_cores() < 2, reason="needs two usable cores to run seeds in parallel")
+def test_seed_loops_write_the_same_bytes_on_one_core_and_on_all(workspace, tmp_path):
+    corpus, _ = workspace
+    trees = {"one": tmp_path / "one", "all": tmp_path / "all"}
+    for name, out in trees.items():
+        pin = {"preexec_fn": lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})} \
+            if name == "one" else {}
+        common = ["--corpus", corpus, "--out", out, "--seed", "0", "--seeds", "2"]
+        for argv in (["train-base", *common, "--base-epochs", "1"],
+                     ["continual", *common, "--probe-every", "5", "--strategy", "dm",
+                      "--memory", "16"],
+                     ["sweep-memory", *common, "--probe-every", "5", "--sizes", "4", "8"],
+                     ["full-training", *common, "--full-epochs", "1"]):
+            code, err, _ = cli(tmp_path / "stderr.txt", *argv, **pin)
+            assert code == 0, (name, argv[0], err)
+    assert sorted(p.parent.parent.name for p in trees["all"].rglob("seed1/summary.json")) \
+        == ["dm_M16", "dm_M4", "dm_M8", "full"]
+    assert differing_files(trees["one"], trees["all"]) == []
+
+
+def test_failing_seed_in_a_worker_exits_1_and_leaves_no_process(workspace, tmp_path):
+    corpus, out = workspace
+    base = tmp_path / "base"
+    base.mkdir()
+    shutil.copy(out / "base_seed0.ckpt", base)  # seed 1 has no checkpoint
+    code, err, pid = cli(tmp_path / "stderr.txt", "continual", "--corpus", corpus,
+                         "--out", tmp_path / "res", "--base", base, "--seed", "0",
+                         "--seeds", "2", "--probe-every", "5", "--strategy", "naive",
+                         start_new_session=True)
+    try:
+        with pytest.raises(ProcessLookupError):
+            os.killpg(pid, 0)  # nothing is left in the command's process group
+    finally:
+        try:
+            os.killpg(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    assert code == 1, err
+    assert str(base / "base_seed1.ckpt") in err and "Traceback" not in err
+    assert (tmp_path / "res" / "naive" / "seed0" / "summary.json").exists()

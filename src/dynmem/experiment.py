@@ -77,10 +77,12 @@ def map_seeds(fn, seeds):
     worker this is a loop in this process. Otherwise the workers are forked
     when the first result is asked for, so they inherit `fn` and all it refers
     to (corpus, config, models) instead of unpickling it; only the seeds and
-    the results are pickled. An exception that `fn(seed)` raises in a worker
-    is raised here when that seed's turn comes. The pool is shut down, with
-    the seeds not yet started cancelled, when the generator is exhausted,
-    raises, or is closed or dropped.
+    the results are pickled. Each worker runs OpenBLAS on one thread: one
+    process per core already fills the cores, and OpenBLAS's spinning threads
+    on top of them slowed the acceptance fixture several-fold. An exception
+    that `fn(seed)` raises in a worker is raised here when that seed's turn
+    comes. The pool is shut down, with the seeds not yet started cancelled,
+    when the generator is exhausted, raises, or is closed or dropped.
     """
     seeds = list(seeds)
     workers = min(len(seeds), usable_cores())
@@ -108,6 +110,33 @@ _inherited_fn = None  # set in each forked worker by _inherit, never in the pare
 def _inherit(fn):
     global _inherited_fn
     _inherited_fn = fn
+    _one_blas_thread()
+
+
+def _one_blas_thread():
+    """Limit the OpenBLAS libraries loaded in this process to one thread each.
+
+    They are found in /proc/self/maps; where that or the setter is missing
+    (another platform or BLAS), the thread count is left as it is.
+    """
+    import ctypes
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[5].strip() for line in maps
+                     if "openblas" in line.lower() and line.count(" ") >= 5}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter(1)
+                break
 
 
 def _call_inherited(seed):

@@ -1,13 +1,15 @@
 """Tests for the experiment driver: config validation, run reproducibility,
 stream invariance across strategies and result schemas.
 """
+import ctypes
+
 import numpy as np
 import pytest
 
 from dynmem.data import CorpusConfig, build_corpus
 from dynmem.evaluation import R_ROWS
-from dynmem.experiment import (ExperimentConfig, run_base_training, run_continual,
-                               run_full_training)
+from dynmem.experiment import (ExperimentConfig, map_seeds, run_base_training, run_continual,
+                               run_full_training, usable_cores)
 from dynmem.validation import ConfigError
 
 TINY = CorpusConfig(base_count=40, continuous_counts=(40, 24, 40), eval_count=16)
@@ -128,3 +130,35 @@ def test_full_training_summary(corpus, cfg):
     assert result.summary["bwt"] is None and result.summary["fwt"] is None
     for key in ("acc_A", "acc_B", "acc_C"):
         assert 0.0 <= result.summary[key] <= 1.0
+
+
+def blas_thread_counts(_seed=None):
+    """Thread count of each OpenBLAS library loaded in this process that reports one."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in maps
+                            if "openblas" in line.lower() and line.count(" ") >= 5})
+    except OSError:
+        return []
+    counts = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                counts.append(getter())
+                break
+    return counts
+
+
+@pytest.mark.skipif(usable_cores() < 2, reason="needs two usable cores to run seeds in parallel")
+def test_map_seeds_workers_run_openblas_on_one_thread():
+    # one worker per core already fills the cores; more BLAS threads oversubscribe them
+    np.ones((64, 64)) @ np.ones((64, 64))
+    if not blas_thread_counts():
+        pytest.skip("no OpenBLAS library that reports its thread count is loaded")
+    before = blas_thread_counts()
+    per_seed = list(map_seeds(blas_thread_counts, [0, 1]))
+    assert per_seed == [[1] * len(before)] * 2
+    assert blas_thread_counts() == before  # the calling process keeps its own setting

@@ -5,7 +5,7 @@ naive, EWC and EWC-frozen-norm baselines on a synthetic shifted image stream.
 from .data import Corpus, CorpusConfig, Dataset, build_corpus, build_schedule, emit_stream
 from .experiment import ExperimentConfig, run_base_training, run_continual, run_full_training
 from .gram import gram_distance, gram_matrix, signatures
-from .memory import DynamicMemory, InsertOutcome, MemoryItem
+from .memory import DynamicMemory, InsertOutcome
 from .model import ConvNetClassifier, gradient_check
 from .strategies import DMStrategy, EWCStrategy, NaiveStrategy, StepReport, make_strategy
 from .validation import ConfigError, DivergenceError, ShapeError, StateError
@@ -16,7 +16,7 @@ __all__ = [
     "Corpus", "CorpusConfig", "Dataset", "build_corpus", "build_schedule", "emit_stream",
     "ExperimentConfig", "run_base_training", "run_continual", "run_full_training",
     "gram_distance", "gram_matrix", "signatures",
-    "DynamicMemory", "InsertOutcome", "MemoryItem",
+    "DynamicMemory", "InsertOutcome",
     "ConvNetClassifier", "gradient_check",
     "DMStrategy", "EWCStrategy", "NaiveStrategy", "StepReport", "make_strategy",
     "ConfigError", "DivergenceError", "ShapeError", "StateError",

@@ -209,10 +209,6 @@ class StreamSchedule:
             out[task] = int(pure[-1])
         return out
 
-    def ramp_midpoint(self, which):
-        start, end = self.ramp_spans[which]
-        return (start + end) // 2
-
 
 def build_schedule(segment_lengths, ramp_fraction=0.15):
     """Linear transition ramps spanning the segment boundaries; the window

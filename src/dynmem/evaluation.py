@@ -100,22 +100,12 @@ def read_metrics_csv(path):
         return list(csv.DictReader(f))
 
 
-def aggregate(values):
-    """Mean and sample standard deviation of the per-run values."""
-    v = np.asarray(values, dtype=np.float64)
-    mean = float(v.mean())
-    sd = float(v.std(ddof=1)) if len(v) > 1 else 0.0
-    return mean, sd
-
-
 def aggregate_summaries(summaries, metrics):
-    """mean +/- sd across run summaries for each named scalar metric."""
+    """Mean and sample standard deviation (0.0 for one run) across run
+    summaries for each named scalar metric; None where no run has it."""
     out = {}
     for m in metrics:
-        vals = [s[m] for s in summaries if s.get(m) is not None]
-        if not vals:
-            out[m] = None
-            continue
-        mean, sd = aggregate(vals)
-        out[m] = {"mean": mean, "sd": sd}
+        v = np.asarray([s[m] for s in summaries if s.get(m) is not None], dtype=np.float64)
+        sd = float(v.std(ddof=1)) if len(v) > 1 else 0.0
+        out[m] = {"mean": float(v.mean()), "sd": sd} if len(v) else None
     return out

@@ -4,8 +4,8 @@ Update rules: (1) every incoming sample is stored; (2) a sample can only
 replace a stored item of the same class; (3) the replaced item is the
 same-class item closest in gram distance, so visually distant (older-style)
 items resist replacement. Until a class reaches its quota, items append
-(fill phase). The signature of items[i] is row i of the per-tap stacks in
-`grams`.
+(fill phase). Row i of `items` and of each per-tap stack in `grams` is the
+same item.
 """
 from __future__ import annotations
 
@@ -18,19 +18,19 @@ from .validation import ConfigError, ShapeError, StateError
 
 
 @dataclass
-class MemoryItem:
-    image: np.ndarray
-    label: int
-    step: int
-    task_id: str = "?"  # evaluation-only diagnostics, never used by the policy
-    distance: float = float("nan")  # gram distance to the item this one replaced
-
-
-@dataclass
 class InsertOutcome:
     kind: str  # "appended" | "replaced"
     index: int
     distance: float = float("nan")
+
+
+def _records(size, image):
+    """(size,) structured array of items shaped like `image`. `task_id` is
+    evaluation-only diagnostics, never used by the policy; `distance` is the
+    gram distance to the item this one replaced (NaN for an append)."""
+    return np.zeros(size, dtype=[("image", image.dtype, image.shape), ("label", np.int64),
+                                 ("step", np.int64), ("task_id", object),
+                                 ("distance", np.float64)])
 
 
 class DynamicMemory:
@@ -42,67 +42,84 @@ class DynamicMemory:
             raise ConfigError(f"memory capacity must be >= 2, got {capacity}")
         self.capacity = capacity
         self.quota = capacity // 2
-        self.items = []
+        self._size = 0
+        self._rows = _records(0, np.zeros(()))  # (capacity,) once the first item arrives
         self.grams = None  # one (capacity, N, N) float64 stack per tap
 
     def __len__(self):
-        return len(self.items)
+        return self._size
+
+    @property
+    def items(self):
+        """The stored items in insertion order: a record array view with
+        fields image, label, step, task_id and distance."""
+        return self._rows[:self._size].view(np.recarray)
+
+    def _column(self, field):
+        # by field name: a recarray view costs microseconds per access
+        return self._rows[field][:self._size]
 
     def class_count(self, label):
-        return sum(1 for it in self.items if it.label == label)
+        return np.count_nonzero(self._column("label") == label)
 
     def argmin_replacement_index(self, label, signature):
         """(index, distance) of the same-class item with minimal gram distance
         to the incoming signature; ties break to the lowest index (oldest)."""
-        rows = [i for i, it in enumerate(self.items) if it.label == label]
-        if not rows:
+        rows = np.flatnonzero(self._column("label") == label)
+        if not rows.size:
             raise StateError(f"no stored item of class {label} to replace")
         distances = gram_distance(signature, [g[rows] for g in self.grams])
         best = int(np.argmin(distances))
-        return rows[best], float(distances[best])
+        return int(rows[best]), float(distances[best])
 
     def insert(self, image, label, signature, step, task_id="?"):
         """Store one incoming sample; append while the class quota is open,
         otherwise replace the closest same-class item."""
-        item = MemoryItem(np.asarray(image), int(label), step, task_id)
+        image = np.asarray(image)
         if self.grams is None:
             self.grams = [np.zeros((self.capacity, *np.shape(g))) for g in signature]
+            self._rows = _records(self.capacity, image)
         shapes, stored = [np.shape(g) for g in signature], [g.shape[1:] for g in self.grams]
         if shapes != stored:
             raise ShapeError(f"signatures have mismatched layer structure: {shapes} vs {stored}")
+        if image.shape != self._rows.dtype["image"].shape:
+            raise ShapeError(f"image shape {image.shape} differs from the stored "
+                             f"{self._rows.dtype['image'].shape}")
         if self.class_count(label) < self.quota:
-            outcome = InsertOutcome("appended", len(self.items))
-            self.items.append(item)
+            outcome = InsertOutcome("appended", self._size)
+            self._size += 1
         else:
             outcome = InsertOutcome("replaced", *self.argmin_replacement_index(label, signature))
-            item.distance = outcome.distance
-            self.items[outcome.index] = item
+        self._rows[outcome.index] = (image, label, step, task_id, outcome.distance)
         for g, row in zip(self.grams, signature):
             g[outcome.index] = row
         return outcome
 
     def draw_rehearsal(self, k, rng):
-        """Uniform draw of up to k items without replacement."""
-        if k <= 0 or not self.items:
-            return []
-        n = min(k, len(self.items))
-        idx = rng.choice(len(self.items), size=n, replace=False)
-        return [self.items[i] for i in idx]
+        """(images, labels) of a uniform draw of up to k items without
+        replacement."""
+        if k <= 0 or not len(self):
+            idx = np.arange(0)
+        else:
+            idx = rng.choice(len(self), size=min(k, len(self)), replace=False)
+        return self._rows["image"][idx], self._rows["label"][idx]
 
     def refresh_signatures(self, signature_fn, labels=None):
         """Recompute stored signatures in place under the current model
-        (fidelity switch; default policy keeps insertion-time signatures).
+        (fidelity switch; default policy keeps insertion-time signatures),
+        for the items whose label is in `labels` (all items if None).
         `signature_fn(images)` gives one (K, N, N) stack per tap."""
-        rows = [i for i, it in enumerate(self.items) if labels is None or it.label in labels]
-        if not rows:
+        # list(): np.isin would take a set as one object
+        rows = np.arange(len(self)) if labels is None else \
+            np.flatnonzero(np.isin(self._column("label"), list(labels)))
+        if not rows.size:
             return
-        images = np.stack([self.items[i].image for i in rows])
-        for g, stack in zip(self.grams, signature_fn(images)):
+        for g, stack in zip(self.grams, signature_fn(self._rows["image"][rows])):
             g[rows] = stack
 
     def dump(self):
         """Diagnostic text: one line per item {step, label, task, distance}."""
+        fields = (self._column(f).tolist() for f in ("step", "label", "task_id", "distance"))
         lines = ["step\tlabel\ttask\tdistance_at_replacement"]
-        for it in self.items:
-            lines.append(f"{it.step}\t{it.label}\t{it.task_id}\t{it.distance!r}")
+        lines += [f"{s}\t{lab}\t{t}\t{d!r}" for s, lab, t, d in zip(*fields)]
         return "\n".join(lines) + "\n"

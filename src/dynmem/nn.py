@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from .validation import ShapeError, check_same_shape
+from .validation import ShapeError
 
 
 def conv_output_size(size, kernel, stride, padding):
@@ -300,7 +300,9 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         for name, g in named_grads.items():
             p = self._params[name]
-            check_same_shape(p, g, f"Adam params/grads for {name}")
+            if p.shape != np.shape(g):
+                raise ShapeError(f"Adam params/grads for {name}: shapes {p.shape} and "
+                                 f"{np.shape(g)} differ")
             self.step_count[name] += 1
             t = self.step_count[name]
             m = self.first_moment[name] = b1 * self.first_moment[name] + (1 - b1) * g

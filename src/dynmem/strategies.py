@@ -104,7 +104,7 @@ class DMStrategy:
     def step(self, images, labels, tasks=None, rng=None):
         self.step_count += 1
         rng = rng or np.random.default_rng()
-        labels = np.asarray(labels).astype(np.int64).reshape(-1)
+        images, labels = np.asarray(images), np.asarray(labels).astype(np.int64).reshape(-1)
         if len(labels) > self.train_batch_size:
             raise ConfigError(
                 f"input batch of {len(labels)} exceeds training batch size "
@@ -117,19 +117,17 @@ class DMStrategy:
         preds = (logits > 0).astype(np.int64)
         grams = [gram_matrix(t) for t in taps]
         if self.recompute_signatures:
-            self.memory.refresh_signatures(lambda X: signatures(self.model, X),
-                                           labels=set(labels.tolist()))
+            self.memory.refresh_signatures(lambda X: signatures(self.model, X), labels=labels)
         kinds = [self.memory.insert(img, lab, [g[i] for g in grams], self.step_count, task).kind
                  for i, (img, lab, task) in enumerate(zip(images, labels, tasks))]
         mis = preds != labels
         n_mis = int(mis.sum())
-        drawn = self.memory.draw_rehearsal(self.train_batch_size - n_mis, rng)
-        train_images = [images[i] for i in np.nonzero(mis)[0]] + [it.image for it in drawn]
-        train_labels = [int(l) for l in labels[mis]] + [it.label for it in drawn]
-        loss, acc = self.model.train_step(np.stack(train_images), np.asarray(train_labels))
+        drawn_images, drawn_labels = self.memory.draw_rehearsal(self.train_batch_size - n_mis, rng)
+        loss, acc = self.model.train_step(np.concatenate([images[mis], drawn_images]),
+                                          np.concatenate([labels[mis], drawn_labels]))
         batch_acc = float(np.mean(preds == labels))
         return StepReport(self.step_count, loss, batch_acc, n_misclassified=n_mis,
-                          n_memory_drawn=len(drawn), n_appended=kinds.count("appended"),
+                          n_memory_drawn=len(drawn_labels), n_appended=kinds.count("appended"),
                           n_replaced=kinds.count("replaced"))
 
 

@@ -53,11 +53,6 @@ def check_labels(y, n=None, name="y"):
     return y
 
 
-def check_same_shape(a, b, what):
-    if np.shape(a) != np.shape(b):
-        raise ShapeError(f"{what}: shapes {np.shape(a)} and {np.shape(b)} differ")
-
-
 def write_container(path, magic, header, arrays):
     """Write magic, the 8-byte little-endian length of the JSON header line,
     the header itself, then each array's raw row-major bytes in order."""

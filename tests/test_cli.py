@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dynmem
@@ -330,3 +331,24 @@ def test_failing_seed_in_a_worker_exits_1_and_leaves_no_process(workspace, tmp_p
     assert code == 1, err
     assert str(base / "base_seed1.ckpt") in err and "Traceback" not in err
     assert (tmp_path / "res" / "naive" / "seed0" / "summary.json").exists()
+
+
+def test_traced_dm_run_records_every_insert_and_the_kept_items(workspace, tmp_path):
+    """perfbench's tracer still runs a dm command: it wraps the memory and
+    strategy methods and reads `InsertOutcome.kind` and `memory.items[*].step`."""
+    corpus, out = workspace
+    root = Path(dynmem.__file__).parents[2]
+    spans = tmp_path / "spans.npz"
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracing.py"), str(spans), "continual",
+         "--corpus", str(corpus), "--out", str(tmp_path / "res"), "--base", str(out),
+         "--seed", "0", "--seeds", "1", "--probe-every", "5", "--strategy", "dm",
+         "--memory", "8", "--recompute-signatures"],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")), capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with np.load(spans) as f:
+        span, tag = f["names"][f["name"]], f["tag"]
+    inserts = int(np.sum(span == "memory.insert"))
+    assert inserts == 24 + 16 + 24  # the workspace stream: --cont-a, --cont-b, --cont-c
+    assert 1 <= int(tag[span == "strategies.step"].sum()) <= inserts

@@ -200,7 +200,7 @@ def test_stream_is_permutation_of_continuous(corpus):
 def test_stream_ramp_midpoint_mixture(corpus):
     """Near the A-to-B ramp midpoint both tasks appear roughly equally."""
     sched = build_schedule(SMALL.continuous_counts)
-    mid = sched.ramp_midpoint(0)
+    mid = sum(sched.ramp_spans[0]) // 2
     draws = []
     for seed in range(50):
         stream = emit_stream(corpus.continuous, sched, np.random.default_rng(seed))

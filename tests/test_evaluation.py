@@ -145,11 +145,10 @@ def test_read_metrics_csv_round_trip(tmp_path):
 
 
 def test_aggregate_mean_and_sample_sd():
-    mean, sd = ev.aggregate([0.2, 0.4, 0.6])
-    np.testing.assert_allclose(mean, 0.4)
-    np.testing.assert_allclose(sd, np.std([0.2, 0.4, 0.6], ddof=1))
-    mean, sd = ev.aggregate([0.7])
-    assert (mean, sd) == (0.7, 0.0)
+    agg = ev.aggregate_summaries([{"bwt": 0.2}, {"bwt": 0.4}, {"bwt": 0.6}], ("bwt",))
+    np.testing.assert_allclose(agg["bwt"]["mean"], 0.4)
+    np.testing.assert_allclose(agg["bwt"]["sd"], np.std([0.2, 0.4, 0.6], ddof=1))
+    assert ev.aggregate_summaries([{"bwt": 0.7}], ("bwt",)) == {"bwt": {"mean": 0.7, "sd": 0.0}}
 
 
 def test_aggregate_summaries_skips_missing_metrics():

@@ -118,6 +118,10 @@ def test_insert_rejects_a_signature_of_another_tap_structure():
         for label in (0, 1):  # append (class 1 open) and replace (class 0 full after 2)
             with pytest.raises(ShapeError, match="mismatched layer structure"):
                 mem.insert(np.zeros((1, 2, 2)), label, bad, 1)
+    for image in (np.zeros((1, 1, 1)), np.zeros((2, 2)), np.zeros((1, 2, 2, 1))):
+        for label in (0, 1):  # a record field would broadcast (1, 1, 1) silently
+            with pytest.raises(ShapeError, match="image shape"):
+                mem.insert(image, label, [np.zeros((2, 2)), np.zeros((3, 3))], 1)
     assert len(mem) == 1
     assert not mem.grams[0][1:].any() and not mem.grams[1][1:].any()
 
@@ -134,23 +138,30 @@ def test_full_class_count_never_changes_again():
 
 def test_draw_rehearsal_bounds_and_determinism():
     mem = DynamicMemory(8)
-    fill_class(mem, 0, range(3))
-    assert mem.draw_rehearsal(0, np.random.default_rng(0)) == []
-    items = mem.draw_rehearsal(8, np.random.default_rng(0))
-    assert len(items) == 3
-    a = [id(it) for it in mem.draw_rehearsal(2, np.random.default_rng(7))]
-    b = [id(it) for it in mem.draw_rehearsal(2, np.random.default_rng(7))]
-    assert a == b
-    assert len(set(a)) == 2  # without replacement
+    for i in range(3):  # each image holds its insertion position
+        mem.insert(np.full((1, 2, 2), float(i)), 0, sig(i), i)
+    images, labels = mem.draw_rehearsal(0, np.random.default_rng(0))
+    assert images.shape == (0, 1, 2, 2) and labels.shape == (0,)
+    images, labels = mem.draw_rehearsal(8, np.random.default_rng(0))
+    assert sorted(images[:, 0, 0, 0].tolist()) == [0.0, 1.0, 2.0]
+    assert labels.tolist() == [0, 0, 0]
+    a, _ = mem.draw_rehearsal(2, np.random.default_rng(7))
+    b, _ = mem.draw_rehearsal(2, np.random.default_rng(7))
+    np.testing.assert_array_equal(a, b)
+    assert len(set(a[:, 0, 0, 0].tolist())) == 2  # without replacement
 
 
 def test_dump_lists_every_item():
     mem = DynamicMemory(4)
     fill_class(mem, 0, [1.0, 2.0])
     fill_class(mem, 1, [3.0])
-    lines = mem.dump().strip().split("\n")
-    assert lines[0] == "step\tlabel\ttask\tdistance_at_replacement"
-    assert len(lines) == 4
+    # class 0 is full: sig(1.5) is 0.25 from both, so the older item goes
+    mem.insert(np.zeros((1, 2, 2)), 0, sig(1.5), 7, task_id="a-long-task-name")
+    assert mem.dump().split("\n") == ["step\tlabel\ttask\tdistance_at_replacement",
+                                      "7\t0\ta-long-task-name\t0.25",
+                                      "1\t0\t?\tnan",
+                                      "0\t1\t?\tnan",
+                                      ""]
 
 
 def test_refresh_signatures_recomputes_selected_labels():

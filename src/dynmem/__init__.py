@@ -6,7 +6,7 @@ from .data import Corpus, CorpusConfig, Dataset, build_corpus, build_schedule, e
 from .experiment import ExperimentConfig, run_base_training, run_continual, run_full_training
 from .gram import gram_distance, gram_matrix, signatures
 from .memory import DynamicMemory, InsertOutcome
-from .model import ConvNetClassifier, gradient_check
+from .model import ConvNetClassifier
 from .strategies import DMStrategy, EWCStrategy, NaiveStrategy, StepReport, make_strategy
 from .validation import ConfigError, DivergenceError, ShapeError, StateError
 
@@ -17,7 +17,7 @@ __all__ = [
     "ExperimentConfig", "run_base_training", "run_continual", "run_full_training",
     "gram_distance", "gram_matrix", "signatures",
     "DynamicMemory", "InsertOutcome",
-    "ConvNetClassifier", "gradient_check",
+    "ConvNetClassifier",
     "DMStrategy", "EWCStrategy", "NaiveStrategy", "StepReport", "make_strategy",
     "ConfigError", "DivergenceError", "ShapeError", "StateError",
 ]

@@ -11,7 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
+from functools import partial
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from . import evaluation as ev
 from .data import TASKS, build_schedule, emit_stream
 from .model import ConvNetClassifier
 from .strategies import make_strategy
-from .validation import ConfigError
+from .validation import ConfigError, DivergenceError
 
 STREAM_SEED_OFFSET = 7919  # stream order rng is independent of training rng
 
@@ -73,16 +75,10 @@ def usable_cores():
 def map_seeds(fn, seeds):
     """Yield `fn(seed)` for each seed, in seed order, with the seeds run in parallel.
 
-    There is one worker per usable core, and at most one per seed. With one
-    worker this is a loop in this process. Otherwise the workers are forked
-    when the first result is asked for, so they inherit `fn` and all it refers
-    to (corpus, config, models) instead of unpickling it; only the seeds and
-    the results are pickled. Each worker runs OpenBLAS on one thread: one
-    process per core already fills the cores, and OpenBLAS's spinning threads
-    on top of them slowed the acceptance fixture several-fold. An exception
-    that `fn(seed)` raises in a worker is raised here when that seed's turn
-    comes. The pool is shut down, with the seeds not yet started cancelled,
-    when the generator is exhausted, raises, or is closed or dropped.
+    There is one worker per usable core, and at most one per seed; with one
+    worker this is a loop in this process. An exception that `fn(seed)` raises
+    in a worker is raised here when that seed's turn comes. The pool is shut
+    down, the seeds not yet started cancelled, when the generator ends or is dropped.
     """
     seeds = list(seeds)
     workers = min(len(seeds), usable_cores())
@@ -90,16 +86,29 @@ def map_seeds(fn, seeds):
         for seed in seeds:
             yield fn(seed)
         return
-    # imported here, so that a command with one seed does not pay ~20 ms to load them
+    with _forked_pool(workers, fn) as submit:
+        futures = [submit(seed) for seed in seeds]
+        for future in futures:
+            yield future.result()
+
+
+@contextmanager
+def _forked_pool(workers, fn):
+    """`submit(arg)`, which starts `fn(arg)` in one of `workers` processes and
+    returns its future. The workers are forked at the first submit, so they
+    inherit `fn` and all it refers to (corpus, config, models); only arguments
+    and results are pickled. Each runs OpenBLAS on one thread: one process per
+    core already fills the cores, and OpenBLAS's spinning threads on top of
+    them slowed the acceptance fixture several-fold. On exit the pool is shut
+    down, with the calls not yet started cancelled."""
+    # imported here, so that a command that forks nothing does not pay ~20 ms to load them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_inherit, initargs=(fn,))
     try:
-        futures = [pool.submit(_call_inherited, seed) for seed in seeds]
-        for future in futures:
-            yield future.result()
+        yield partial(pool.submit, _call_inherited)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
@@ -181,8 +190,36 @@ def run_base_training(corpus, cfg, seed, with_ewc=True):
     return model, rows
 
 
+@contextmanager
+def _evaluator(model, evaluate):
+    """`submit(step)`, which starts `evaluate(step)` on `model` as it is now and
+    returns a call that gives the result.
+
+    With a spare core, `evaluate` runs in one forked process while training
+    goes on: each submit sends it a copy of the model's eval state, which it
+    loads into the model it inherited. Otherwise it runs here, at once.
+    """
+    # a pool worker has no spare core: its pool already runs a process on each
+    if _inherited_fn is not None or usable_cores() < 2:
+        def submit(step):
+            result = evaluate(step)
+            return lambda: result
+        yield submit
+        return
+
+    def evaluate_state(job):
+        step, state = job
+        model.set_eval_state(state)
+        return evaluate(step)
+
+    with _forked_pool(1, evaluate_state) as submit_job:
+        yield lambda step: submit_job((step, model.eval_state())).result
+
+
 def run_continual(corpus, base_model, strategy_name, cfg, seed):
-    """One continual run over the stream, with probes, R-matrix and summary."""
+    """One continual run over the stream, with probes, R-matrix and summary.
+    An `_evaluator` computes the probes and R-matrix rows, beside the training
+    where a core is spare; the results do not depend on where they ran."""
     model = base_model.clone()
     # the stream phase runs at a gentler rate than base training: each item is
     # seen once, and a hot optimizer would churn through old-task competence
@@ -209,25 +246,44 @@ def run_continual(corpus, base_model, strategy_name, cfg, seed):
                           f"checkpoint (step {checkpoint_steps['B']} of {total_steps}), so "
                           f"area_C is undefined; generate the corpus with a longer --cont-c")
     probe_at = set(ev.probe_steps(total_steps, cfg.probe_every))
+    # R-matrix rows by the step after which they are measured; step 0 is the base model
+    r_rows_at = {0: [0]}
+    for task, ckpt_step in checkpoint_steps.items():
+        r_rows_at.setdefault(ckpt_step, []).append(1 + TASKS.index(task))
     step_metrics = ("loss", "batch_accuracy", "n_misclassified") if strategy_name == "dm" \
         else ("loss", "batch_accuracy")
+    diverge_flags = f"--stream-lr ({cfg.stream_learning_rate:g})" + (
+        f" or --lambda ({cfg.ewc_lambda:g})" if strategy_name in ("ewc", "ewc-fbn") else "")
+
+    def evaluate(step):
+        probe = ev.validation_probe(model, corpus.validation, step, strategy.name, seed) \
+            if step in probe_at else []
+        return probe, _task_accuracies(model, corpus.test) if step in r_rows_at else None
+
     rows = []
+    evaluations = []  # (position in rows, step, call giving evaluate(step))
+    with _evaluator(model, evaluate) as submit:
+        evaluations.append((0, 0, submit(0)))
+        for step in range(1, total_steps + 1):
+            lo = (step - 1) * b
+            report = strategy.step(stream.images[lo : lo + b], stream.labels[lo : lo + b],
+                                   tasks=stream.tasks[lo : lo + b], rng=rng)
+            if not np.isfinite(report.loss):
+                raise DivergenceError(f"stream training diverged ({strategy.name}): loss "
+                                      f"{report.loss} at step {step} of {total_steps}; "
+                                      f"lower {diverge_flags}")
+            for metric in step_metrics:
+                rows.append({"step": step, "strategy": strategy.name, "seed": seed,
+                             "task": "stream", "split": "train", "metric": metric,
+                             "value": getattr(report, metric)})
+            if step in probe_at or step in r_rows_at:
+                evaluations.append((len(rows), step, submit(step)))
+        evaluations = [(at, step, result()) for at, step, result in evaluations]
     rmatrix = np.full((len(ev.R_ROWS), len(TASKS)), np.nan)
-    rmatrix[0] = _task_accuracies(base_model, corpus.test)
-    rows += ev.validation_probe(model, corpus.validation, 0, strategy.name, seed)
-    for step in range(1, total_steps + 1):
-        lo = (step - 1) * b
-        report = strategy.step(stream.images[lo : lo + b], stream.labels[lo : lo + b],
-                               tasks=stream.tasks[lo : lo + b], rng=rng)
-        for metric in step_metrics:
-            rows.append({"step": step, "strategy": strategy.name, "seed": seed,
-                         "task": "stream", "split": "train", "metric": metric,
-                         "value": getattr(report, metric)})
-        if step in probe_at:
-            rows += ev.validation_probe(model, corpus.validation, step, strategy.name, seed)
-        for task, ckpt_step in checkpoint_steps.items():
-            if step == ckpt_step:
-                rmatrix[1 + TASKS.index(task)] = _task_accuracies(model, corpus.test)
+    for at, step, (probe, accs) in reversed(evaluations):
+        rows[at:at] = probe
+        if accs is not None:
+            rmatrix[r_rows_at[step]] = accs
     # the stream ends inside task C's pure segment; its checkpoint is the final step
     summary = {
         "strategy": strategy.name, "seed": seed,

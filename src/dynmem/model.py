@@ -125,6 +125,15 @@ class ConvNetClassifier:
     def clone(self):
         return copy.deepcopy(self)
 
+    def eval_state(self):
+        """Copies of what an eval-mode forward reads: parameters and running statistics."""
+        return {n: a.copy() for n, a in {**self.named_params(), **self.running_stats()}.items()}
+
+    def set_eval_state(self, arrays):
+        """Overwrite in place what `eval_state` copies, from a name -> array map."""
+        for name, a in {**self.named_params(), **self.running_stats()}.items():
+            a[...] = arrays[name]
+
     # -- forward / backward ------------------------------------------------
 
     def _mode(self, train):
@@ -340,10 +349,7 @@ class ConvNetClassifier:
         hyper = dict(header["hyper"])
         hyper["channels"] = tuple(hyper["channels"])
         model = cls(**hyper)
-        for name, p in model.named_params().items():
-            p[...] = arrays[name]
-        for name, s in model.running_stats().items():
-            s[...] = arrays[name]
+        model.set_eval_state(arrays)
         model.version = header["model_version"]
         model.norm_frozen = header["norm_frozen"]
         stored = {pre: {n[len(pre):]: a for n, a in arrays.items() if n.startswith(pre)}
@@ -356,36 +362,3 @@ class ConvNetClassifier:
                 a.setflags(write=False)
         model.reset_optimizer()
         return model
-
-
-def gradient_check(model, X, y, n_coords=50, h=1e-5, rng=None):
-    """Check the model's analytic gradients against central differences.
-
-    Builds a float64 copy of the model so the oracle runs in double
-    precision; running statistics are restored around every loss evaluation.
-    Returns the max relative error over sampled coordinates.
-    """
-    m = ConvNetClassifier(**{**model.get_params(), "dtype": "float64"})
-    for name, p in m.named_params().items():
-        p[...] = model.named_params()[name].astype(np.float64)
-    X = check_images(X, m.image_size).astype(np.float64)
-    y = check_labels(y, X.shape[0])
-    stats = {n: s.copy() for n, s in m.running_stats().items()}
-
-    def loss_fn():
-        for n, s in m.running_stats().items():
-            s[...] = stats[n]
-        logits, _ = m.forward_with_taps(X, train=True)
-        losses, _ = nn.bce_loss(logits, y)
-        return float(losses.mean())
-
-    loss_fn()
-    m.zero_grads()
-    logits, _ = m.forward_with_taps(X, train=True)
-    _, dlogits = nn.bce_loss(logits, y)
-    m.backward(dlogits / len(y), train=True)
-    analytic = m.named_grads()
-    for n, s in m.running_stats().items():
-        s[...] = stats[n]
-    return nn.finite_diff_check(loss_fn, m.named_params(), analytic,
-                                n_coords=n_coords, h=h, rng=rng)

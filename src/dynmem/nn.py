@@ -310,34 +310,3 @@ class Adam:
             m_hat = m / (1 - b1 ** t)
             v_hat = v / (1 - b2 ** t)
             p[...] = p - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-
-
-def finite_diff_check(loss_fn, params, analytic_grads, n_coords=50, h=1e-5, rng=None):
-    """Central-difference gradient check over sampled parameter coordinates.
-
-    loss_fn() must evaluate the scalar loss from the current (mutated in
-    place) params. Returns the max over sampled coordinates of
-    |a - n| / max(|a|, |n|, 1e-8). Use double-precision parameters.
-    """
-    rng = rng or np.random.default_rng(0)
-    names = sorted(params)
-    sizes = np.array([params[n].size for n in names])
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
-    coords = rng.choice(total, size=min(n_coords, total), replace=False)
-    worst = 0.0
-    for flat in coords:
-        i = int(np.searchsorted(offsets, flat, side="right") - 1)
-        name = names[i]
-        idx = np.unravel_index(flat - offsets[i], params[name].shape)
-        orig = params[name][idx]
-        params[name][idx] = orig + h
-        lo_plus = loss_fn()
-        params[name][idx] = orig - h
-        lo_minus = loss_fn()
-        params[name][idx] = orig
-        numeric = (lo_plus - lo_minus) / (2 * h)
-        analytic = analytic_grads[name][idx]
-        err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-        worst = max(worst, err)
-    return worst

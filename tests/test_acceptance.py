@@ -21,9 +21,10 @@ from dynmem.cli import main
 from dynmem.data import TASKS, CorpusConfig, build_corpus, build_schedule
 from dynmem.gram import gram_distance, gram_matrix, signatures
 from dynmem.memory import DynamicMemory
-from dynmem.model import ConvNetClassifier, gradient_check
+from dynmem.model import ConvNetClassifier
 from dynmem.experiment import (ExperimentConfig, map_seeds, run_base_training, run_continual,
                                run_full_training)
+from gradcheck import gradient_check
 
 MEMORY_SIZES = (16, 32, 128)
 

@@ -284,6 +284,18 @@ def cli(log, *args, **popen):
     return code, Path(log).read_text(), proc.pid
 
 
+def assert_no_process_left(pid):
+    """Nothing is left in the process group that `pid` led; kill whatever is."""
+    try:
+        with pytest.raises(ProcessLookupError):
+            os.killpg(pid, 0)
+    finally:
+        try:
+            os.killpg(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
 def differing_files(a, b):
     """Relative paths that are in only one tree or differ byte for byte."""
     names = {p.relative_to(root) for root in (a, b) for p in root.rglob("*") if p.is_file()}
@@ -299,15 +311,25 @@ def test_seed_loops_write_the_same_bytes_on_one_core_and_on_all(workspace, tmp_p
         pin = {"preexec_fn": lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})} \
             if name == "one" else {}
         common = ["--corpus", corpus, "--out", out, "--seed", "0", "--seeds", "2"]
+        # one seed evaluates in a forked evaluator where a core is spare
+        one_seed = ["--corpus", corpus, "--out", out / "one_seed", "--base", out,
+                    "--seed", "0", "--seeds", "1", "--probe-every", "5"]
         for argv in (["train-base", *common, "--base-epochs", "1"],
                      ["continual", *common, "--probe-every", "5", "--strategy", "dm",
                       "--memory", "16"],
                      ["sweep-memory", *common, "--probe-every", "5", "--sizes", "4", "8"],
-                     ["full-training", *common, "--full-epochs", "1"]):
+                     ["full-training", *common, "--full-epochs", "1"],
+                     ["continual", *one_seed, "--strategy", "dm", "--memory", "16",
+                      "--recompute-signatures"],
+                     ["continual", *one_seed, "--strategy", "ewc-fbn"],
+                     ["sweep-memory", *one_seed, "--sizes", "4", "8"]):
             code, err, _ = cli(tmp_path / "stderr.txt", *argv, **pin)
             assert code == 0, (name, argv[0], err)
     assert sorted(p.parent.parent.name for p in trees["all"].rglob("seed1/summary.json")) \
         == ["dm_M16", "dm_M4", "dm_M8", "full"]
+    one_seed_runs = trees["all"].glob("one_seed/*/seed0/summary.json")
+    assert sorted(p.parent.parent.name for p in one_seed_runs) \
+        == ["dm_M16", "dm_M4", "dm_M8", "ewc-fbn"]
     assert differing_files(trees["one"], trees["all"]) == []
 
 
@@ -320,17 +342,27 @@ def test_failing_seed_in_a_worker_exits_1_and_leaves_no_process(workspace, tmp_p
                          "--out", tmp_path / "res", "--base", base, "--seed", "0",
                          "--seeds", "2", "--probe-every", "5", "--strategy", "naive",
                          start_new_session=True)
-    try:
-        with pytest.raises(ProcessLookupError):
-            os.killpg(pid, 0)  # nothing is left in the command's process group
-    finally:
-        try:
-            os.killpg(pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
+    assert_no_process_left(pid)
     assert code == 1, err
     assert str(base / "base_seed1.ckpt") in err and "Traceback" not in err
     assert (tmp_path / "res" / "naive" / "seed0" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--strategy", "naive", "--stream-lr", "1e30"], ["--stream-lr"]),
+    (["--strategy", "ewc", "--lambda", "1e300"], ["--stream-lr", "--lambda"]),
+])
+def test_diverging_stream_exits_1_naming_step_and_flags(workspace, tmp_path, flags, named):
+    # one seed: where a core is spare, a forked evaluator is running when the loss turns NaN
+    corpus, out = workspace
+    code, err, pid = cli(tmp_path / "stderr.txt", "continual", "--corpus", corpus,
+                         "--out", tmp_path / "res", "--base", out, "--seed", "0",
+                         "--seeds", "1", "--probe-every", "5", *flags, start_new_session=True)
+    assert_no_process_left(pid)
+    assert code == 1, err
+    assert "diverged" in err and "at step" in err and f"({flags[1]})" in err  # the strategy
+    assert all(flag in err for flag in named) and "Traceback" not in err
+    assert not (tmp_path / "res").exists()  # no results computed from a NaN model
 
 
 def test_traced_dm_run_records_every_insert_and_the_kept_items(workspace, tmp_path):

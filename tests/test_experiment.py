@@ -2,10 +2,14 @@
 stream invariance across strategies and result schemas.
 """
 import ctypes
+import multiprocessing
+import os
+import re
 
 import numpy as np
 import pytest
 
+from dynmem import evaluation as ev
 from dynmem.data import CorpusConfig, build_corpus
 from dynmem.evaluation import R_ROWS
 from dynmem.experiment import (ExperimentConfig, map_seeds, run_base_training, run_continual,
@@ -120,6 +124,23 @@ def test_probe_rows_cover_start_and_end(corpus, cfg, base_model):
     total_steps = (40 + 24 + 40) // cfg.input_batch_size
     probe = sorted({r["step"] for r in result.rows if r["split"] == "val"})
     assert probe[0] == 0 and probe[-1] == total_steps
+
+
+@pytest.mark.skipif(usable_cores() < 2, reason="needs a spare core for the evaluator")
+def test_an_evaluator_failure_is_raised_with_its_message(corpus, cfg, base_model, monkeypatch):
+    parent, accuracy = os.getpid(), ev.accuracy
+
+    def failing_in_a_child(model, images, labels, **kw):
+        if os.getpid() != parent:
+            raise ValueError(f"no accuracy in process {os.getpid()}")
+        return accuracy(model, images, labels, **kw)
+
+    monkeypatch.setattr(ev, "accuracy", failing_in_a_child)
+    with pytest.raises(ValueError, match=r"no accuracy in process \d+") as exc:
+        run_continual(corpus, base_model, "naive", cfg, seed=0)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ProcessLookupError):  # the evaluator has exited and been reaped
+        os.kill(int(re.search(r"\d+", str(exc.value)).group()), 0)
 
 
 # -- full training ---------------------------------------------------------

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from dynmem import nn
-from dynmem.model import FISHER_CHUNK, NORM_STATS_BLOCK, ConvNetClassifier, gradient_check
+from dynmem.model import FISHER_CHUNK, NORM_STATS_BLOCK, ConvNetClassifier
 from dynmem.validation import ConfigError, DivergenceError, ShapeError, StateError
+from gradcheck import gradient_check
 
 
 @pytest.fixture

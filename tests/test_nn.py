@@ -6,6 +6,7 @@ import pytest
 
 from dynmem import nn
 from dynmem.validation import ShapeError
+from gradcheck import finite_diff_check
 
 
 def conv_reference(x, w, stride, padding):
@@ -168,7 +169,7 @@ def test_conv_layer_backward_matches_finite_differences():
     layer.zero_grads()
     grad_out = 2.0 * (layer.forward(x, "train") - target)
     layer.backward(grad_out, "train")
-    err = nn.finite_diff_check(loss_fn, layer.params, layer.grads,
+    err = finite_diff_check(loss_fn, layer.params, layer.grads,
                                n_coords=30, rng=np.random.default_rng(5))
     assert err < 1e-6
 
@@ -233,7 +234,7 @@ def test_bn_train_backward_matches_finite_differences():
     grad_out = 2.0 * (layer.forward(x, "train") - target)
     layer.running_mean[:], layer.running_var[:] = stats
     layer.backward(grad_out, "train")
-    err = nn.finite_diff_check(loss_fn, layer.params, layer.grads,
+    err = finite_diff_check(loss_fn, layer.params, layer.grads,
                                n_coords=6, rng=np.random.default_rng(9))
     assert err < 1e-6
 
@@ -368,7 +369,7 @@ def test_finite_diff_exact_for_linear_layer():
 
     layer.zero_grads()
     layer.backward(2.0 * (layer.forward(x, "train") - y), "train")
-    err = nn.finite_diff_check(loss_fn, layer.params, layer.grads,
+    err = finite_diff_check(loss_fn, layer.params, layer.grads,
                                n_coords=7, rng=np.random.default_rng(15))
     assert err < 1e-7
 
@@ -385,6 +386,6 @@ def test_finite_diff_flags_corrupted_gradient():
     layer.forward(x, "train")
     layer.backward(np.ones((2, 1)), "train")
     layer.grads["weight"][0, 0] += 0.1
-    err = nn.finite_diff_check(loss_fn, layer.params, layer.grads,
+    err = finite_diff_check(loss_fn, layer.params, layer.grads,
                                n_coords=4, rng=np.random.default_rng(17))
     assert err > 1e-4

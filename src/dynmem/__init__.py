@@ -7,7 +7,7 @@ from .experiment import ExperimentConfig, run_base_training, run_continual, run_
 from .gram import gram_distance, gram_matrix, signatures
 from .memory import DynamicMemory, InsertOutcome
 from .model import ConvNetClassifier
-from .strategies import DMStrategy, EWCStrategy, NaiveStrategy, StepReport, make_strategy
+from .strategies import DMStrategy, EWCStrategy, NaiveStrategy, make_strategy
 from .validation import ConfigError, DivergenceError, ShapeError, StateError
 
 __version__ = "0.1.0"
@@ -18,6 +18,6 @@ __all__ = [
     "gram_distance", "gram_matrix", "signatures",
     "DynamicMemory", "InsertOutcome",
     "ConvNetClassifier",
-    "DMStrategy", "EWCStrategy", "NaiveStrategy", "StepReport", "make_strategy",
+    "DMStrategy", "EWCStrategy", "NaiveStrategy", "make_strategy",
     "ConfigError", "DivergenceError", "ShapeError", "StateError",
 ]

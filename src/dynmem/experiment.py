@@ -185,7 +185,7 @@ def run_base_training(corpus, cfg, seed, with_ewc=True):
                      "task": task, "split": "val", "metric": "accuracy",
                      "value": ev.accuracy(model, ds.images, ds.labels)})
     if with_ewc:
-        model.fisher_diagonal(base.images, base.labels, rng=np.random.default_rng(seed + 1))
+        model.fisher_diagonal(base.images, base.labels)
         model.snapshot_anchor()
     return model, rows
 
@@ -250,8 +250,6 @@ def run_continual(corpus, base_model, strategy_name, cfg, seed):
     r_rows_at = {0: [0]}
     for task, ckpt_step in checkpoint_steps.items():
         r_rows_at.setdefault(ckpt_step, []).append(1 + TASKS.index(task))
-    step_metrics = ("loss", "batch_accuracy", "n_misclassified") if strategy_name == "dm" \
-        else ("loss", "batch_accuracy")
     diverge_flags = f"--stream-lr ({cfg.stream_learning_rate:g})" + (
         f" or --lambda ({cfg.ewc_lambda:g})" if strategy_name in ("ewc", "ewc-fbn") else "")
 
@@ -264,20 +262,21 @@ def run_continual(corpus, base_model, strategy_name, cfg, seed):
     evaluations = []  # (position in rows, step, call giving evaluate(step))
     with _evaluator(model, evaluate) as submit:
         evaluations.append((0, 0, submit(0)))
-        for step in range(1, total_steps + 1):
-            lo = (step - 1) * b
-            report = strategy.step(stream.images[lo : lo + b], stream.labels[lo : lo + b],
-                                   tasks=stream.tasks[lo : lo + b], rng=rng)
-            if not np.isfinite(report.loss):
-                raise DivergenceError(f"stream training diverged ({strategy.name}): loss "
-                                      f"{report.loss} at step {step} of {total_steps}; "
-                                      f"lower {diverge_flags}")
-            for metric in step_metrics:
-                rows.append({"step": step, "strategy": strategy.name, "seed": seed,
-                             "task": "stream", "split": "train", "metric": metric,
-                             "value": getattr(report, metric)})
-            if step in probe_at or step in r_rows_at:
-                evaluations.append((len(rows), step, submit(step)))
+        # a diverging loss overflows on its way to NaN; the check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(1, total_steps + 1):
+                lo = (step - 1) * b
+                report = strategy.step(stream.images[lo : lo + b], stream.labels[lo : lo + b],
+                                       tasks=stream.tasks[lo : lo + b], rng=rng)
+                if not np.isfinite(report["loss"]):
+                    raise DivergenceError(f"stream training diverged ({strategy.name}): loss "
+                                          f"{report['loss']} at step {step} of {total_steps}; "
+                                          f"lower {diverge_flags}")
+                rows += [{"step": step, "strategy": strategy.name, "seed": seed, "task": "stream",
+                          "split": "train", "metric": metric, "value": value}
+                         for metric, value in report.items()]
+                if step in probe_at or step in r_rows_at:
+                    evaluations.append((len(rows), step, submit(step)))
         evaluations = [(at, step, result()) for at, step, result in evaluations]
     rmatrix = np.full((len(ev.R_ROWS), len(TASKS)), np.nan)
     for at, step, (probe, accs) in reversed(evaluations):

@@ -18,7 +18,7 @@ from .validation import (ConfigError, DivergenceError, StateError, check_images,
                          check_labels, read_container, write_container)
 
 CHECKPOINT_MAGIC = b"DMCKPT1\n"
-CHECKPOINT_VERSION = 2  # 2: convs carry no bias
+CHECKPOINT_VERSION = 3  # 2: convs carry no bias; 3: five settings, no model_version
 FISHER_CHUNK = nn.CONV_BLOCK  # one conv block: backward reuses the forward's columns
 # images per forward when norm statistics are refit; the layers still cache the
 # previous block, and 64 keeps that below the peak of one 150-image probe
@@ -33,22 +33,15 @@ class ConvNetClassifier:
     keywords, `get_params` returns them, `fit`/`predict` do the work.
     """
 
-    def __init__(self, image_size=32, channels=(8, 16, 32, 64),
-                 learning_rate=1e-4, beta1=0.9, beta2=0.999, adam_epsilon=1e-8,
-                 bn_momentum=0.1, bn_epsilon=1e-5, dtype=np.float32, random_state=0):
+    def __init__(self, image_size=32, channels=(8, 16, 32, 64), learning_rate=1e-4,
+                 dtype=np.float32, random_state=0):
         self.image_size = image_size
         self.channels = tuple(channels)
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.adam_epsilon = adam_epsilon
-        self.bn_momentum = bn_momentum
-        self.bn_epsilon = bn_epsilon
         self.dtype = np.dtype(dtype).type
         self.random_state = random_state
         self._build(np.random.default_rng(random_state))
         self.norm_frozen = False
-        self.version = 0
         self._anchor = None
         self._fisher = None
         self.optimizer = self._new_optimizer()
@@ -68,7 +61,7 @@ class ConvNetClassifier:
                 self.layer_names.append(f"b{b}.{tag}")
                 if tag == "conv2":
                     self.tap_indices.append(len(self.layers) - 1)
-                self.layers.append(nn.BatchNorm2d(ch, self.bn_momentum, self.bn_epsilon, dtype))
+                self.layers.append(nn.BatchNorm2d(ch, dtype=dtype))
                 self.layer_names.append(f"b{b}.{tag.replace('conv', 'norm')}")
                 self.layers.append(nn.ReLU())
                 self.layer_names.append(f"b{b}.{tag.replace('conv', 'relu')}")
@@ -79,20 +72,15 @@ class ConvNetClassifier:
         self.layer_names.append("head")
 
     def _new_optimizer(self):
-        return nn.Adam(self.named_params(), learning_rate=self.learning_rate,
-                       beta1=self.beta1, beta2=self.beta2, epsilon=self.adam_epsilon)
+        return nn.Adam(self.named_params(), learning_rate=self.learning_rate)
 
     def reset_optimizer(self):
         self.optimizer = self._new_optimizer()
 
-    def get_params(self, deep=True):
-        return {
-            "image_size": self.image_size, "channels": self.channels,
-            "learning_rate": self.learning_rate, "beta1": self.beta1,
-            "beta2": self.beta2, "adam_epsilon": self.adam_epsilon,
-            "bn_momentum": self.bn_momentum, "bn_epsilon": self.bn_epsilon,
-            "dtype": np.dtype(self.dtype).name, "random_state": self.random_state,
-        }
+    def get_params(self):
+        return {"image_size": self.image_size, "channels": self.channels,
+                "learning_rate": self.learning_rate, "dtype": np.dtype(self.dtype).name,
+                "random_state": self.random_state}
 
     # -- parameter access --------------------------------------------------
 
@@ -130,9 +118,10 @@ class ConvNetClassifier:
         return {n: a.copy() for n, a in {**self.named_params(), **self.running_stats()}.items()}
 
     def set_eval_state(self, arrays):
-        """Overwrite in place what `eval_state` copies, from a name -> array map."""
+        """Overwrite in place what `eval_state` copies, from a name -> array map
+        of the model's dtype (another dtype raises TypeError, not a cast)."""
         for name, a in {**self.named_params(), **self.running_stats()}.items():
-            a[...] = arrays[name]
+            np.copyto(a, arrays[name], casting="no")
 
     # -- forward / backward ------------------------------------------------
 
@@ -190,7 +179,6 @@ class ConvNetClassifier:
             grads = {n: g for n, g in grads.items()
                      if not (".norm" in n and (n.endswith("scale") or n.endswith("shift")))}
         self.optimizer.step(grads)
-        self.version += 1
         acc = float(np.mean((logits > 0).astype(np.int64) == y))
         return float(losses.mean() + penalty_loss), acc
 
@@ -205,18 +193,20 @@ class ConvNetClassifier:
         y = check_labels(y, X.shape[0])
         rng = rng or np.random.default_rng(self.random_state)
         history = []
-        for epoch in range(1, epochs + 1):
-            order = rng.permutation(len(y))
-            losses = []
-            for start in range(0, len(y) - batch_size + 1, batch_size):
-                idx = order[start : start + batch_size]
-                loss, _ = self.train_step(X[idx], y[idx])
-                if not np.isfinite(loss):
-                    raise DivergenceError(
-                        f"training diverged: loss {loss} at epoch {epoch}, batch "
-                        f"{start // batch_size + 1} (learning rate {self.learning_rate:g})")
-                losses.append(loss)
-            history.append(float(np.mean(losses)) if losses else float("nan"))
+        # a diverging loss overflows on its way to NaN; the check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(1, epochs + 1):
+                order = rng.permutation(len(y))
+                losses = []
+                for start in range(0, len(y) - batch_size + 1, batch_size):
+                    idx = order[start : start + batch_size]
+                    loss, _ = self.train_step(X[idx], y[idx])
+                    if not np.isfinite(loss):
+                        raise DivergenceError(
+                            f"training diverged: loss {loss} at epoch {epoch}, batch "
+                            f"{start // batch_size + 1} (learning rate {self.learning_rate:g})")
+                    losses.append(loss)
+                history.append(float(np.mean(losses)) if losses else float("nan"))
         if not self.norm_frozen:
             self.fit_norm_statistics(X)
         return history
@@ -256,7 +246,7 @@ class ConvNetClassifier:
 
     # -- EWC support -------------------------------------------------------
 
-    def fisher_diagonal(self, X, y, sample_count=None, rng=None):
+    def fisher_diagonal(self, X, y):
         """Empirical Fisher diagonal: mean squared per-sample gradient of the
         ground-truth-label log-likelihood. Running stats are excluded (they
         are not trainable parameters).
@@ -268,20 +258,16 @@ class ConvNetClassifier:
         y = check_labels(y, X.shape[0])
         if len(y) == 0:
             raise ConfigError("fisher_diagonal needs a non-empty dataset")
-        idx = np.arange(len(y))
-        if sample_count is not None and sample_count < len(y):
-            rng = rng or np.random.default_rng(self.random_state)
-            idx = rng.choice(len(y), size=sample_count, replace=False)
         sums = [{name: np.zeros(p.shape) for name, p in layer.params.items()}
                 for layer in self.layers]
-        for start in range(0, len(idx), FISHER_CHUNK):
-            rows = idx[start : start + FISHER_CHUNK]
+        for start in range(0, len(y), FISHER_CHUNK):
+            rows = slice(start, start + FISHER_CHUNK)
             logits, _ = self.forward_with_taps(X[rows], train=False)
             _, dlogits = nn.bce_loss(logits, y[rows])
             grad = dlogits.astype(self.dtype)[:, None]
             for layer, sq in zip(reversed(self.layers), reversed(sums)):
                 grad = layer.backward(grad, "eval", sq)
-        self._fisher = {f"{lname}.{name}": (f / len(idx)).astype(self.dtype)
+        self._fisher = {f"{lname}.{name}": (f / len(y)).astype(self.dtype)
                         for lname, layer_sums in zip(self.layer_names, sums)
                         for name, f in layer_sums.items()}
         return self._fisher
@@ -325,7 +311,6 @@ class ConvNetClassifier:
             "format": "dynmem-checkpoint",
             "version": CHECKPOINT_VERSION,
             "hyper": self.get_params(),
-            "model_version": self.version,
             "norm_frozen": self.norm_frozen,
             "has_fisher": self._fisher is not None,
             "has_anchor": self._anchor is not None,
@@ -346,19 +331,20 @@ class ConvNetClassifier:
             raise ConfigError(
                 f"{path} has checkpoint format version {header.get('version')}, "
                 f"expected {CHECKPOINT_VERSION}; rerun train-base")
-        hyper = dict(header["hyper"])
-        hyper["channels"] = tuple(hyper["channels"])
-        model = cls(**hyper)
-        model.set_eval_state(arrays)
-        model.version = header["model_version"]
-        model.norm_frozen = header["norm_frozen"]
-        stored = {pre: {n[len(pre):]: a for n, a in arrays.items() if n.startswith(pre)}
-                  for pre in ("fisher.", "anchor.")}
-        if header["has_fisher"]:
-            model._fisher = stored["fisher."]
-        if header["has_anchor"]:
-            model._anchor = stored["anchor."]
-            for a in model._anchor.values():
-                a.setflags(write=False)
+        try:
+            model = cls(**header["hyper"])
+            model.set_eval_state(arrays)
+            model.norm_frozen = header["norm_frozen"]
+            stored = {pre: {n[len(pre):]: a for n, a in arrays.items() if n.startswith(pre)}
+                      for pre in ("fisher.", "anchor.")}
+            if header["has_fisher"]:
+                model._fisher = stored["fisher."]
+            if header["has_anchor"]:
+                model._anchor = stored["anchor."]
+                for a in model._anchor.values():
+                    a.setflags(write=False)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path} does not hold the model its header describes: "
+                              f"{exc!r}") from None
         model.reset_optimizer()
         return model

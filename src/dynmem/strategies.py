@@ -1,28 +1,15 @@
 """Continual training regimes over a sequential stream: dynamic-memory
 rehearsal, naive fine-tuning, EWC and EWC with frozen normalization.
+Each strategy's `step` trains on one input batch and returns the step's
+metrics by name, in the order of their rows in the metrics CSV.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .gram import gram_matrix, signatures
 from .memory import DynamicMemory
 from .validation import ConfigError, StateError
-
-
-@dataclass
-class StepReport:
-    """Single logging currency for all strategies."""
-
-    step: int
-    loss: float
-    batch_accuracy: float
-    n_misclassified: int = 0
-    n_memory_drawn: int = 0
-    n_appended: int = 0
-    n_replaced: int = 0
 
 
 class NaiveStrategy:
@@ -32,12 +19,10 @@ class NaiveStrategy:
 
     def __init__(self, model):
         self.model = model
-        self.step_count = 0
 
     def step(self, images, labels, tasks=None, rng=None):
-        self.step_count += 1
         loss, acc = self.model.train_step(images, labels)
-        return StepReport(self.step_count, loss, acc)
+        return {"loss": loss, "batch_accuracy": acc}
 
 
 class EWCStrategy:
@@ -59,7 +44,6 @@ class EWCStrategy:
         if frozen_norm:
             self.name = "ewc-fbn"
             model.norm_frozen = True
-        self.step_count = 0
 
     def penalty(self):
         """(lambda/2) * sum_i F_i (theta_i - theta*_i)^2 and its gradient."""
@@ -74,11 +58,10 @@ class EWCStrategy:
         return loss, grads
 
     def step(self, images, labels, tasks=None, rng=None):
-        self.step_count += 1
         pen_loss, pen_grads = self.penalty() if self.ewc_lambda else (0.0, None)
         loss, acc = self.model.train_step(images, labels,
                                           penalty_grads=pen_grads, penalty_loss=pen_loss)
-        return StepReport(self.step_count, loss, acc)
+        return {"loss": loss, "batch_accuracy": acc}
 
 
 class DMStrategy:
@@ -101,9 +84,8 @@ class DMStrategy:
         self.recompute_signatures = recompute_signatures
         self.step_count = 0
 
-    def step(self, images, labels, tasks=None, rng=None):
+    def step(self, images, labels, tasks=None, *, rng):
         self.step_count += 1
-        rng = rng or np.random.default_rng()
         images, labels = np.asarray(images), np.asarray(labels).astype(np.int64).reshape(-1)
         if len(labels) > self.train_batch_size:
             raise ConfigError(
@@ -118,17 +100,15 @@ class DMStrategy:
         grams = [gram_matrix(t) for t in taps]
         if self.recompute_signatures:
             self.memory.refresh_signatures(lambda X: signatures(self.model, X), labels=labels)
-        kinds = [self.memory.insert(img, lab, [g[i] for g in grams], self.step_count, task).kind
-                 for i, (img, lab, task) in enumerate(zip(images, labels, tasks))]
+        for i, (img, lab, task) in enumerate(zip(images, labels, tasks)):
+            self.memory.insert(img, lab, [g[i] for g in grams], self.step_count, task)
         mis = preds != labels
         n_mis = int(mis.sum())
         drawn_images, drawn_labels = self.memory.draw_rehearsal(self.train_batch_size - n_mis, rng)
-        loss, acc = self.model.train_step(np.concatenate([images[mis], drawn_images]),
-                                          np.concatenate([labels[mis], drawn_labels]))
-        batch_acc = float(np.mean(preds == labels))
-        return StepReport(self.step_count, loss, batch_acc, n_misclassified=n_mis,
-                          n_memory_drawn=len(drawn_labels), n_appended=kinds.count("appended"),
-                          n_replaced=kinds.count("replaced"))
+        loss, _ = self.model.train_step(np.concatenate([images[mis], drawn_images]),
+                                        np.concatenate([labels[mis], drawn_labels]))
+        return {"loss": loss, "batch_accuracy": float(np.mean(preds == labels)),
+                "n_misclassified": n_mis}
 
 
 def make_strategy(name, model, ewc_lambda=100.0, memory_size=32, train_batch_size=8,

@@ -156,22 +156,58 @@ def test_old_checkpoint_version_is_runtime_error_naming_the_file(workspace, tmp_
     old = tmp_path / "old"
     old.mkdir()
     blob = (out / "base_seed0.ckpt").read_bytes()
-    assert blob.count(b'"version": 2') == 1
-    (old / "base_seed0.ckpt").write_bytes(blob.replace(b'"version": 2', b'"version": 1'))
+    assert blob.count(b'"version": 3') == 1
+    (old / "base_seed0.ckpt").write_bytes(blob.replace(b'"version": 3', b'"version": 2'))
     capsys.readouterr()
     assert run_continual(corpus, tmp_path / "res", "--strategy", "naive",
                          "--base", str(old)) == 1
     err = capsys.readouterr().err
-    assert str(old / "base_seed0.ckpt") in err and "version 1" in err
+    assert str(old / "base_seed0.ckpt") in err and "version 2" in err
 
 
-def test_diverging_fit_is_runtime_error_naming_the_epoch(workspace, tmp_path, capsys):
-    corpus, _ = workspace
+def drop_hyper(header):
+    del header["hyper"]
+
+
+def add_unknown_hyper(header):
+    header["hyper"]["beta1"] = 0.9
+
+
+def halve_first_channels(header):
+    header["hyper"]["channels"][0] //= 2
+
+
+def widen_dtype(header):
+    header["hyper"]["dtype"] = "float64"  # the arrays stay float32
+
+
+@pytest.mark.parametrize("edit", [drop_hyper, add_unknown_hyper, halve_first_channels,
+                                  widen_dtype])
+def test_checkpoint_header_not_matching_a_model_is_runtime_error_naming_the_file(
+        workspace, tmp_path, capsys, edit):
+    corpus, out = workspace
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    blob = (out / "base_seed0.ckpt").read_bytes()
+    magic, length = blob[:8], int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16 : 16 + length])
+    edit(header)
+    edited = json.dumps(header, sort_keys=True).encode() + b"\n"
+    (bad / "base_seed0.ckpt").write_bytes(
+        magic + len(edited).to_bytes(8, "little") + edited + blob[16 + length :])
     capsys.readouterr()
-    rc = main(["train-base", "--corpus", str(corpus), "--out", str(tmp_path),
-               "--seed", "0", "--seeds", "1", "--base-epochs", "2", "--lr", "1e30"])
-    assert rc == 1
-    assert "epoch 1" in capsys.readouterr().err
+    assert run_continual(corpus, tmp_path / "res", "--strategy", "naive",
+                         "--base", str(bad)) == 1
+    assert str(bad / "base_seed0.ckpt") in capsys.readouterr().err
+
+
+def test_diverging_fit_is_runtime_error_naming_the_epoch(workspace, tmp_path):
+    corpus, _ = workspace
+    code, err, _ = cli(tmp_path / "stderr.txt", "train-base", "--corpus", corpus,
+                       "--out", tmp_path, "--seed", "0", "--seeds", "1",
+                       "--base-epochs", "2", "--lr", "1e30")
+    assert code == 1
+    assert "epoch 1" in err and "RuntimeWarning" not in err  # the error is the only report
     assert not (tmp_path / "base_seed0.ckpt").exists()
 
 
@@ -362,6 +398,7 @@ def test_diverging_stream_exits_1_naming_step_and_flags(workspace, tmp_path, fla
     assert code == 1, err
     assert "diverged" in err and "at step" in err and f"({flags[1]})" in err  # the strategy
     assert all(flag in err for flag in named) and "Traceback" not in err
+    assert "RuntimeWarning" not in err  # the error is the only report
     assert not (tmp_path / "res").exists()  # no results computed from a NaN model
 
 

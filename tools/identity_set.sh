@@ -1,0 +1,30 @@
+#!/usr/bin/env bash
+# Run the byte-identity command set with this checkout's package and write
+# every output, plus the commands' stderr, under OUT.
+#
+#   tools/identity_set.sh OUT
+#
+# A change that claims the same results runs this on the old and the new
+# tree and compares the two outputs with `diff -r OLD_OUT NEW_OUT`.
+set -euo pipefail
+out=${1:?usage: tools/identity_set.sh OUT}
+src=$(cd "$(dirname "$0")/../src" && pwd)
+mkdir -p "$out"
+cd "$out"  # relative paths, so the progress lines do not name OUT
+export PYTHONPATH=$src OPENBLAS_NUM_THREADS=1
+
+run() { python3 -m dynmem.cli "$@" 2>>stderr.txt; }
+
+run generate --out corpus
+runs=(--corpus corpus --out runs --seeds 2)
+run train-base "${runs[@]}"
+for strategy in naive ewc ewc-fbn; do
+    run continual "${runs[@]}" --strategy "$strategy"
+done
+for memory in 32 160; do
+    run continual "${runs[@]}" --strategy dm --memory "$memory"
+done
+run continual --corpus corpus --out refresh --base runs --seeds 2 --strategy dm \
+    --memory 32 --recompute-signatures
+run sweep-memory --corpus corpus --out sweep --base runs --seeds 2
+run full-training "${runs[@]}"

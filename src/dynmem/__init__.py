@@ -2,7 +2,7 @@
 naive, EWC and EWC-frozen-norm baselines on a synthetic shifted image stream.
 """
 
-from .data import Corpus, CorpusConfig, Dataset, build_corpus, build_schedule, emit_stream
+from .data import Corpus, CorpusConfig, Dataset, build_corpus, emit_stream
 from .experiment import ExperimentConfig, run_base_training, run_continual, run_full_training
 from .gram import gram_distance, gram_matrix, signatures
 from .memory import DynamicMemory, InsertOutcome
@@ -13,7 +13,7 @@ from .validation import ConfigError, DivergenceError, ShapeError, StateError
 __version__ = "0.1.0"
 
 __all__ = [
-    "Corpus", "CorpusConfig", "Dataset", "build_corpus", "build_schedule", "emit_stream",
+    "Corpus", "CorpusConfig", "Dataset", "build_corpus", "emit_stream",
     "ExperimentConfig", "run_base_training", "run_continual", "run_full_training",
     "gram_distance", "gram_matrix", "signatures",
     "DynamicMemory", "InsertOutcome",

@@ -167,11 +167,16 @@ def _write_json(path, payload):
         f.write("\n")
 
 
-def _base_checkpoint(base_dir, seed):
-    path = base_dir / f"base_seed{seed}.ckpt"
+def _base_checkpoint(args, corpus, seed):
+    path = (getattr(args, "base", None) or args.out) / f"base_seed{seed}.ckpt"
     if not path.exists():
         raise ConfigError(f"no base checkpoint at {path}; run train-base first")
-    return ConvNetClassifier.load(path)
+    model = ConvNetClassifier.load(path)
+    if model.image_size != corpus.config.image_size:
+        raise ConfigError(f"{path} was trained on {model.image_size}-pixel images, but the "
+                          f"corpus at {args.corpus} has {corpus.config.image_size}-pixel "
+                          f"images; rerun train-base on that corpus")
+    return model
 
 
 def cmd_generate(args):
@@ -199,7 +204,7 @@ def cmd_train_base(args):
 
 
 def _continual_run(args, cfg, corpus, strategy, seed):
-    base_model = _base_checkpoint(getattr(args, "base", None) or args.out, seed)
+    base_model = _base_checkpoint(args, corpus, seed)
     if strategy in ("ewc", "ewc-fbn") and base_model.fisher is None:
         raise ConfigError(f"strategy {strategy} needs a checkpoint with Fisher "
                           f"information (re-run train-base without --no-ewc)")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -43,6 +43,12 @@ class CorpusConfig:
     continuous_counts: tuple = (600, 400, 950)
     eval_count: int = 150  # per task, validation and test each
     ramp_fraction: float = 0.15
+
+    def __post_init__(self):
+        # below one half, the two ramps of a task carve less than its whole segment
+        if not 0.0 <= self.ramp_fraction < 0.5:
+            raise ConfigError(f"ramp_fraction must be a finite number in [0, 0.5), "
+                              f"got {self.ramp_fraction!r}")
 
     def config_hash(self):
         payload = json.dumps(asdict(self), sort_keys=True, default=list)
@@ -186,92 +192,38 @@ def build_corpus(cfg=CorpusConfig(), seed=0):
                   splits["test"], cfg, seed)
 
 
-# -- stream schedule -------------------------------------------------------
+# -- stream ---------------------------------------------------------------
 
-@dataclass
-class StreamSchedule:
-    """Per-position task mixture weights with pure segments and linear ramps."""
+def emit_stream(continuous, ramp_fraction, rng):
+    """Order the continuous split into a stream; return it with each task's
+    checkpoint, the last position of the task's pure segment.
 
-    weights: np.ndarray  # (n_positions, 3), rows sum to 1
-    ramp_spans: list     # [(start, end), ...] one per transition window
-    segment_lengths: tuple
-
-    def __len__(self):
-        return len(self.weights)
-
-    def checkpoint_positions(self):
-        """Last position where each task's mixture weight equals 1."""
-        out = {}
-        for t_idx, task in enumerate(TASKS):
-            pure = np.nonzero(self.weights[:, t_idx] == 1.0)[0]
-            if pure.size == 0:
-                raise ConfigError(f"no pure segment for task {task}")
-            out[task] = int(pure[-1])
-        return out
-
-
-def build_schedule(segment_lengths, ramp_fraction=0.15):
-    """Linear transition ramps spanning the segment boundaries; the window
-    carves floor(ramp_fraction * min(adjacent lengths)) positions from each
-    side, so expected per-task draw counts match the segment sizes."""
-    lengths = tuple(int(n) for n in segment_lengths)
-    n = sum(lengths)
-    weights = np.zeros((n, len(lengths)))
-    bounds = np.concatenate([[0], np.cumsum(lengths)])
-    for i, (start, end) in enumerate(zip(bounds[:-1], bounds[1:])):
-        weights[start:end, i] = 1.0
-    spans = []
-    for i in range(len(lengths) - 1):
-        half = int(ramp_fraction * min(lengths[i], lengths[i + 1]))
-        b = bounds[i + 1]
-        start, end = b - half, b + half
-        width = end - start
-        down = 1.0 - (np.arange(width) + 0.5) / width
-        weights[start:end, :] = 0.0
-        weights[start:end, i] = down
-        weights[start:end, i + 1] = 1.0 - down
-        spans.append((int(start), int(end)))
-    return StreamSchedule(weights, spans, lengths)
-
-
-def emit_stream(continuous, schedule, rng):
-    """Order the continuous split into a stream following the schedule.
-
-    Every continuous sample is emitted exactly once. Pure segments contain
-    only their task; inside each ramp window the two tasks' carved counts are
-    placed by weighted sampling without replacement, so the mixture follows
-    the linear ramp.
+    The segments follow the split's task counts in task order, and every
+    sample is emitted exactly once. Each boundary gets a linear transition
+    ramp that carves floor(ramp_fraction * min(adjacent lengths)) positions
+    from each side, so expected per-task draw counts match the segment sizes;
+    inside it the earlier task's carved count is placed by weighted sampling
+    without replacement, its weight falling linearly across the ramp.
     """
-    counts = {t: int(np.sum(continuous.tasks == t)) for t in TASKS}
-    if tuple(counts[t] for t in TASKS) != schedule.segment_lengths or len(continuous) != len(schedule):
-        raise ConfigError(
-            f"schedule segments {schedule.segment_lengths} do not match "
-            f"continuous split counts {counts}"
-        )
-    n = len(schedule)
-    assignment = np.full(n, -1, dtype=int)
-    pure_mask = schedule.weights == 1.0
-    for t_idx in range(len(TASKS)):
-        assignment[pure_mask[:, t_idx]] = t_idx
-    for span_i, (start, end) in enumerate(schedule.ramp_spans):
-        width = end - start
-        if not width:  # a zero-width ramp is an abrupt shift
+    lengths = [int(np.sum(continuous.tasks == t)) for t in TASKS]
+    if min(lengths) < 1:
+        raise ConfigError(f"the continuous split has no samples of task {TASKS[lengths.index(0)]}")
+    bounds = np.cumsum(lengths)
+    assignment = np.repeat(np.arange(len(TASKS)), lengths)
+    halves = [int(ramp_fraction * min(a, b)) for a, b in zip(lengths, lengths[1:])] + [0]
+    for t_idx, half in enumerate(halves):
+        if not half:  # a zero-width ramp is an abrupt shift
             continue
-        w_first = schedule.weights[start:end, span_i]
-        k_first = width // 2  # equal carve from both adjacent segments
-        pick = rng.choice(width, size=k_first, replace=False, p=w_first / w_first.sum())
-        window = np.full(width, span_i + 1, dtype=int)
-        window[pick] = span_i
-        assignment[start:end] = window
+        down = 1.0 - (np.arange(2 * half) + 0.5) / (2 * half)
+        pick = rng.choice(2 * half, size=half, replace=False, p=down / down.sum())
+        window = np.full(2 * half, t_idx + 1)
+        window[pick] = t_idx
+        assignment[bounds[t_idx] - half : bounds[t_idx] + half] = window
+    checkpoints = {task: int(end - half) - 1 for task, end, half in zip(TASKS, bounds, halves)}
     # pop per-task samples in shuffled order
-    order = np.empty(n, dtype=np.int64)
-    pools = {}
-    for t_idx, task in enumerate(TASKS):
-        idx = np.nonzero(continuous.tasks == task)[0]
-        pools[t_idx] = list(rng.permutation(idx))
-    for pos, t_idx in enumerate(assignment):
-        order[pos] = pools[t_idx].pop()
-    return continuous.subset(order)
+    pools = [list(rng.permutation(np.nonzero(continuous.tasks == t)[0])) for t in TASKS]
+    order = np.array([pools[t_idx].pop() for t_idx in assignment], dtype=np.int64)
+    return continuous.subset(order), checkpoints
 
 
 # -- corpus IO -------------------------------------------------------------

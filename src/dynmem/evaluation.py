@@ -72,17 +72,16 @@ def learning_curve_area(rows, task, after_step):
                           and r["metric"] == "accuracy" and int(r["step"]) > after_step]))
 
 
+def task_accuracies(model, split):
+    """Accuracy on each task's part of `split`, in task order."""
+    return [accuracy(model, ds.images, ds.labels) for ds in map(split.task_subset, TASKS)]
+
+
 def validation_probe(model, validation, step, strategy, seed):
     """One accuracy row per task on the validation split; never mutates state."""
-    rows = []
-    for task in TASKS:
-        ds = validation.task_subset(task)
-        rows.append({
-            "step": step, "strategy": strategy, "seed": seed, "task": task,
-            "split": "val", "metric": "accuracy",
-            "value": accuracy(model, ds.images, ds.labels),
-        })
-    return rows
+    return [{"step": step, "strategy": strategy, "seed": seed, "task": task,
+             "split": "val", "metric": "accuracy", "value": value}
+            for task, value in zip(TASKS, task_accuracies(model, validation))]
 
 
 def rows_to_csv(rows):

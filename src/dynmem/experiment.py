@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from . import evaluation as ev
-from .data import TASKS, build_schedule, emit_stream
+from .data import TASKS, emit_stream
 from .model import ConvNetClassifier
 from .strategies import make_strategy
 from .validation import ConfigError, DivergenceError
@@ -163,11 +163,6 @@ class RunResult:
     memory_dump: str = None
 
 
-def _task_accuracies(model, split):
-    return [ev.accuracy(model, split.task_subset(t).images, split.task_subset(t).labels)
-            for t in TASKS]
-
-
 def run_base_training(corpus, cfg, seed, with_ewc=True):
     """Train the base model on Task A; optionally attach Fisher and anchor."""
     model = cfg.new_model(seed)
@@ -179,11 +174,7 @@ def run_base_training(corpus, cfg, seed, with_ewc=True):
     for epoch, loss in enumerate(history, start=1):
         rows.append({"step": epoch, "strategy": "base", "seed": seed, "task": "A",
                      "split": "train", "metric": "epoch_loss", "value": loss})
-    for task in TASKS:
-        ds = corpus.validation.task_subset(task)
-        rows.append({"step": len(history), "strategy": "base", "seed": seed,
-                     "task": task, "split": "val", "metric": "accuracy",
-                     "value": ev.accuracy(model, ds.images, ds.labels)})
+    rows += ev.validation_probe(model, corpus.validation, len(history), "base", seed)
     if with_ewc:
         model.fisher_diagonal(base.images, base.labels)
         model.snapshot_anchor()
@@ -225,10 +216,8 @@ def run_continual(corpus, base_model, strategy_name, cfg, seed):
     # seen once, and a hot optimizer would churn through old-task competence
     model.learning_rate = cfg.stream_learning_rate
     model.reset_optimizer()
-    schedule = build_schedule([int(np.sum(corpus.continuous.tasks == t)) for t in TASKS],
-                              corpus.config.ramp_fraction)
-    stream = emit_stream(corpus.continuous, schedule,
-                         np.random.default_rng(seed + STREAM_SEED_OFFSET))
+    stream, checkpoints = emit_stream(corpus.continuous, corpus.config.ramp_fraction,
+                                      np.random.default_rng(seed + STREAM_SEED_OFFSET))
     strategy = make_strategy(strategy_name, model, ewc_lambda=cfg.ewc_lambda,
                              memory_size=cfg.memory_size,
                              train_batch_size=cfg.train_batch_size,
@@ -236,15 +225,13 @@ def run_continual(corpus, base_model, strategy_name, cfg, seed):
     rng = np.random.default_rng(seed)
     b = cfg.input_batch_size
     total_steps = len(stream) // b  # trailing partial batch is dropped
-    checkpoint_steps = {
-        task: min(pos // b + 1, total_steps)
-        for task, pos in schedule.checkpoint_positions().items()
-    }
+    checkpoint_steps = {task: min(pos // b + 1, total_steps) for task, pos in checkpoints.items()}
     if checkpoint_steps["B"] >= total_steps:
         # area_C averages the probes after B's checkpoint; the last probe is the final step
         raise ConfigError(f"task C's segment ends before any validation probe after task B's "
                           f"checkpoint (step {checkpoint_steps['B']} of {total_steps}), so "
-                          f"area_C is undefined; generate the corpus with a longer --cont-c")
+                          f"area_C is undefined; generate the corpus with a longer --cont-c "
+                          f"or lower --batch ({b})")
     probe_at = set(ev.probe_steps(total_steps, cfg.probe_every))
     # R-matrix rows by the step after which they are measured; step 0 is the base model
     r_rows_at = {0: [0]}
@@ -256,7 +243,7 @@ def run_continual(corpus, base_model, strategy_name, cfg, seed):
     def evaluate(step):
         probe = ev.validation_probe(model, corpus.validation, step, strategy.name, seed) \
             if step in probe_at else []
-        return probe, _task_accuracies(model, corpus.test) if step in r_rows_at else None
+        return probe, ev.task_accuracies(model, corpus.test) if step in r_rows_at else None
 
     rows = []
     evaluations = []  # (position in rows, step, call giving evaluate(step))
@@ -306,7 +293,7 @@ def run_full_training(corpus, cfg, seed):
     labels = np.concatenate([corpus.base.labels, corpus.continuous.labels])
     model.fit(images, labels, epochs=cfg.full_epochs,
               batch_size=cfg.train_batch_size, rng=rng)
-    accs = _task_accuracies(model, corpus.test)
+    accs = ev.task_accuracies(model, corpus.test)
     rows = [{"step": cfg.full_epochs, "strategy": "full", "seed": seed, "task": t,
              "split": "test", "metric": "accuracy", "value": a}
             for t, a in zip(TASKS, accs)]

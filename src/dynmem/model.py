@@ -185,12 +185,17 @@ class ConvNetClassifier:
     def fit(self, X, y, epochs=1, batch_size=8, rng=None):
         """Multi-epoch shuffled mini-batch training. Returns per-epoch mean loss.
 
-        Raises DivergenceError at the first non-finite loss. Unless norms are
-        frozen, the running statistics are then refit to the final weights
-        (see fit_norm_statistics), so eval mode matches what was learned.
+        Raises ConfigError if an epoch is asked for but X holds fewer images
+        than one batch, and DivergenceError at the first non-finite loss.
+        Unless norms are frozen, the running statistics are then refit to the
+        final weights (see fit_norm_statistics), so eval mode matches what was
+        learned.
         """
         X = check_images(X, self.image_size)
         y = check_labels(y, X.shape[0])
+        if epochs >= 1 and len(y) < batch_size:
+            raise ConfigError(f"{len(y)} training images do not fill one training batch of "
+                              f"{batch_size}; lower the training batch size (--train-batch)")
         rng = rng or np.random.default_rng(self.random_state)
         history = []
         # a diverging loss overflows on its way to NaN; the check below reports it
@@ -206,7 +211,7 @@ class ConvNetClassifier:
                             f"training diverged: loss {loss} at epoch {epoch}, batch "
                             f"{start // batch_size + 1} (learning rate {self.learning_rate:g})")
                     losses.append(loss)
-                history.append(float(np.mean(losses)) if losses else float("nan"))
+                history.append(float(np.mean(losses)))
         if not self.norm_frozen:
             self.fit_norm_statistics(X)
         return history

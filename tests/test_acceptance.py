@@ -18,7 +18,7 @@ import pytest
 
 from dynmem import evaluation as ev
 from dynmem.cli import main
-from dynmem.data import TASKS, CorpusConfig, build_corpus, build_schedule
+from dynmem.data import TASKS, CorpusConfig, build_corpus, emit_stream
 from dynmem.gram import gram_distance, gram_matrix, signatures
 from dynmem.memory import DynamicMemory
 from dynmem.model import ConvNetClassifier
@@ -60,8 +60,10 @@ def suite():
     jobs = [(label, seed) for seed in cfg.seeds()
             for label in ["naive", "ewc", "ewc-fbn"] + [f"dm{m}" for m in MEMORY_SIZES]]
     runs.update(zip(jobs, map_seeds(continual, jobs)))  # (strategy label, seed) -> RunResult
-    sched = build_schedule(list(CorpusConfig().continuous_counts))
-    after_b_step = sched.checkpoint_positions()["B"] // cfg.input_batch_size + 1
+    # the checkpoints follow from the task counts; the rng only orders the stream
+    _, checkpoints = emit_stream(corpus.continuous, corpus.config.ramp_fraction,
+                                 np.random.default_rng(0))
+    after_b_step = checkpoints["B"] // cfg.input_batch_size + 1
     return {"cfg": cfg, "corpus": corpus, "runs": runs, "after_b": after_b_step}
 
 

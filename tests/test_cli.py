@@ -291,21 +291,57 @@ def test_truncated_file_is_runtime_error_naming_the_file(workspace, tmp_path, ca
     assert str(path) in err and "truncated" in err
 
 
-@pytest.mark.parametrize("seeds", ["1", "2"])
-def test_task_c_too_short_for_its_area_is_runtime_error(tmp_path, capsys, seeds):
+@pytest.mark.parametrize("cont_c, seeds, batch", [
+    pytest.param("1", "1", "8", id="1"),
+    pytest.param("1", "2", "8", id="2"),
+    # task C is long enough at batch 8; at 64, B's checkpoint falls in the only step
+    pytest.param("24", "1", "64", id="batch"),
+])
+def test_task_c_too_short_for_its_area_is_runtime_error(tmp_path, capsys, cont_c, seeds, batch):
     # at --seeds 2 each seed runs, and fails, in a worker when two cores are usable
     corpus, out = tmp_path / "corpus", tmp_path / "out"
     assert main(["generate", "--out", str(corpus), "--base-n", "40", "--cont-a", "40",
-                 "--cont-b", "20", "--cont-c", "1", "--eval-n", "10"]) == 0
+                 "--cont-b", "20", "--cont-c", cont_c, "--eval-n", "10"]) == 0
     assert main(["train-base", "--corpus", str(corpus), "--out", str(out),
                  "--seeds", seeds, "--base-epochs", "1"]) == 0
     capsys.readouterr()
-    assert main(["continual", "--corpus", str(corpus), "--out", str(out),
-                 "--seeds", seeds, "--strategy", "dm"]) == 1
+    assert main(["continual", "--corpus", str(corpus), "--out", str(out), "--seeds", seeds,
+                 "--strategy", "dm", "--batch", batch, "--train-batch", batch]) == 1
     err = capsys.readouterr().err
     assert "task C's segment ends before any validation probe after task B's checkpoint" in err
-    assert "--cont-c" in err and "Traceback" not in err
+    assert "--cont-c" in err and f"--batch ({batch})" in err and "Traceback" not in err
     assert not (out / "dm_M32").exists()
+
+
+@pytest.mark.parametrize("command, size", [("train-base", "32"), ("full-training", "200")])
+def test_training_batch_larger_than_the_training_set_is_runtime_error(workspace, tmp_path,
+                                                                      capsys, command, size):
+    # the workspace corpus holds 24 base images and 88 base and continuous ones
+    corpus, _ = workspace
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--corpus", str(corpus), "--out", str(out), "--seed", "0",
+                 "--seeds", "1", "--base-epochs", "1", "--full-epochs", "1",
+                 "--train-batch", size]) == 1
+    err = capsys.readouterr().err
+    assert f"batch of {size}" in err and "--train-batch" in err
+    assert not out.exists() or not any(out.iterdir())  # no untrained checkpoint or result
+
+
+def test_checkpoint_of_another_image_size_is_runtime_error_naming_both(workspace, tmp_path,
+                                                                       capsys):
+    corpus, _ = workspace
+    small, base = tmp_path / "small", tmp_path / "base"
+    assert main(["generate", "--out", str(small), "--image-size", "16", "--base-n", "24",
+                 "--cont-a", "8", "--cont-b", "8", "--cont-c", "8", "--eval-n", "4"]) == 0
+    assert main(["train-base", "--corpus", str(small), "--out", str(base), "--seed", "0",
+                 "--seeds", "1", "--base-epochs", "1"]) == 0
+    capsys.readouterr()
+    assert run_continual(corpus, tmp_path / "res", "--strategy", "naive",
+                         "--base", str(base)) == 1
+    err = capsys.readouterr().err
+    assert str(base / "base_seed0.ckpt") in err and str(corpus) in err
+    assert "16-pixel" in err and "32-pixel" in err
 
 
 def cli(log, *args, **popen):

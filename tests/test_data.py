@@ -1,15 +1,16 @@
-"""Tests for the synthetic corpus generator, the stream schedule and the
+"""Tests for the synthetic corpus generator, the stream and the
 corpus containers, including the generator calibration oracles.
 """
+import json
 import re
 
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter, median_filter
 
-from dynmem.data import (TASKS, TASK_ATTRS, Corpus, CorpusConfig, build_corpus,
-                         build_schedule, emit_stream, generate_background,
-                         imprint_target, load_corpus, save_corpus)
+from dynmem.data import (TASKS, TASK_ATTRS, CorpusConfig, Dataset, build_corpus,
+                         emit_stream, generate_background, imprint_target, load_corpus,
+                         save_corpus)
 from dynmem.validation import ConfigError, ShapeError
 
 SMALL = CorpusConfig(base_count=60, continuous_counts=(60, 40, 90), eval_count=20)
@@ -172,56 +173,67 @@ def test_base_split_is_task_a_only(corpus):
     assert set(corpus.base.tasks) == {"A"}
 
 
-# -- schedule and stream ---------------------------------------------------
+# -- stream ----------------------------------------------------------------
 
-def test_schedule_default_geometry():
-    sched = build_schedule([600, 400, 950])
-    assert len(sched) == 1950
-    assert sched.ramp_spans == [(540, 660), (940, 1060)]
-    assert sched.checkpoint_positions() == {"A": 539, "B": 939, "C": 1949}
-    np.testing.assert_allclose(sched.weights.sum(axis=1), 1.0)
-    assert np.all(sched.weights >= 0.0)
+def stand_in(counts):
+    """A continuous split with `counts` samples of each task, in shuffled order."""
+    n = sum(counts)
+    tasks = np.repeat(np.array(TASKS), counts)[np.random.default_rng(0).permutation(n)]
+    return Dataset(np.zeros((n, 1, 1, 1), np.float32), np.zeros(n, np.uint8), tasks,
+                   np.arange(n, dtype=np.int64))
+
+
+def test_stream_default_geometry():
+    stream, checkpoints = emit_stream(stand_in((600, 400, 950)), 0.15, np.random.default_rng(0))
+    assert len(stream) == 1950
+    assert checkpoints == {"A": 539, "B": 939, "C": 1949}
+    # each ramp carves floor(0.15 * 400) = 60 positions from both sides of its boundary
+    ramps = [slice(540, 660), slice(940, 1060)]
+    outside = np.ones(1950, dtype=bool)
+    for ramp, pair in zip(ramps, [("A", "B"), ("B", "C")]):
+        outside[ramp] = False
+        assert [int(np.sum(stream.tasks[ramp] == t)) for t in pair] == [60, 60]
+    np.testing.assert_array_equal(stream.tasks[outside],
+                                  np.repeat(TASKS, (600, 400, 950))[outside])
 
 
 def test_stream_pure_segments_are_pure(corpus):
-    sched = build_schedule(SMALL.continuous_counts)
-    stream = emit_stream(corpus.continuous, sched, np.random.default_rng(0))
-    for t_idx, task in enumerate(TASKS):
-        pure = sched.weights[:, t_idx] == 1.0
-        assert set(stream.tasks[pure]) == {task}
+    # SMALL's ramps carve floor(0.15 * 40) = 6 positions from each side
+    stream, checkpoints = emit_stream(corpus.continuous, SMALL.ramp_fraction,
+                                      np.random.default_rng(0))
+    assert checkpoints == {"A": 53, "B": 93, "C": 189}
+    for task, start in zip(TASKS, (0, 66, 106)):
+        assert set(stream.tasks[start : checkpoints[task] + 1]) == {task}
 
 
 def test_stream_is_permutation_of_continuous(corpus):
-    sched = build_schedule(SMALL.continuous_counts)
-    stream = emit_stream(corpus.continuous, sched, np.random.default_rng(1))
+    stream, _ = emit_stream(corpus.continuous, SMALL.ramp_fraction, np.random.default_rng(1))
     assert sorted(stream.ids) == sorted(corpus.continuous.ids)
 
 
 def test_stream_ramp_midpoint_mixture(corpus):
     """Near the A-to-B ramp midpoint both tasks appear roughly equally."""
-    sched = build_schedule(SMALL.continuous_counts)
-    mid = sum(sched.ramp_spans[0]) // 2
+    mid = SMALL.continuous_counts[0]
     draws = []
     for seed in range(50):
-        stream = emit_stream(corpus.continuous, sched, np.random.default_rng(seed))
+        stream, _ = emit_stream(corpus.continuous, SMALL.ramp_fraction,
+                                np.random.default_rng(seed))
         draws.extend(stream.tasks[mid - 2 : mid + 2])
     frac_a = np.mean(np.asarray(draws) == "A")
     assert 0.4 <= frac_a <= 0.6
 
 
 def test_zero_width_ramp_is_an_abrupt_shift(corpus):
-    sched = build_schedule(SMALL.continuous_counts, ramp_fraction=0.0)
-    assert all(start == end for start, end in sched.ramp_spans)
-    stream = emit_stream(corpus.continuous, sched, np.random.default_rng(2))
+    stream, checkpoints = emit_stream(corpus.continuous, 0.0, np.random.default_rng(2))
+    assert checkpoints == {"A": 59, "B": 99, "C": 189}
     expected = np.repeat(TASKS, SMALL.continuous_counts)
     np.testing.assert_array_equal(stream.tasks, expected)
     assert sorted(stream.ids) == sorted(corpus.continuous.ids)
 
 
-def test_stream_length_mismatch_raises(corpus):
-    sched = build_schedule([10, 10, 10])
-    with pytest.raises(ConfigError):
-        emit_stream(corpus.continuous, sched, np.random.default_rng(0))
+def test_stream_without_a_task_raises():
+    with pytest.raises(ConfigError, match="no samples of task B"):
+        emit_stream(stand_in((10, 0, 10)), 0.15, np.random.default_rng(0))
 
 
 # -- corpus IO -------------------------------------------------------------
@@ -278,4 +290,19 @@ def test_corpus_load_rejects_a_damaged_split_naming_the_file(tmp_path, corpus, d
                       "json": blob[:start] + b"[" + blob[start + 1:],
                       "trailing": blob + b"\0"}[damage])
     with pytest.raises(ConfigError, match=re.escape(str(path))):
+        load_corpus(tmp_path / "corpus")
+
+
+@pytest.mark.parametrize("fraction", [0.5, -0.1, float("nan")])
+def test_ramp_fraction_outside_its_range_is_rejected(tmp_path, corpus, fraction):
+    """Below one half, the two ramps of a task carve less than its segment,
+    so every task keeps a pure segment and a checkpoint."""
+    with pytest.raises(ConfigError, match="ramp_fraction"):
+        CorpusConfig(ramp_fraction=fraction)
+    save_corpus(corpus, tmp_path / "corpus")
+    path = tmp_path / "corpus" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"]["ramp_fraction"] = fraction
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match=re.escape(str(path)) + ".*ramp_fraction"):
         load_corpus(tmp_path / "corpus")

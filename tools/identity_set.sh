@@ -4,6 +4,10 @@
 #
 #   tools/identity_set.sh OUT
 #
+# The set is generate, train-base, continual for every strategy, sweep-memory
+# and full-training at --seeds 2, then three one-seed continual runs, which
+# evaluate in a forked process where a core is spare.
+#
 # A change that claims the same results runs this on the old and the new
 # tree and compares the two outputs with `diff -r OLD_OUT NEW_OUT`.
 set -euo pipefail
@@ -28,3 +32,8 @@ run continual --corpus corpus --out refresh --base runs --seeds 2 --strategy dm 
     --memory 32 --recompute-signatures
 run sweep-memory --corpus corpus --out sweep --base runs --seeds 2
 run full-training "${runs[@]}"
+one=(--corpus corpus --base runs --seeds 1)
+run continual "${one[@]}" --out one_ewc_fbn --strategy ewc-fbn
+run continual "${one[@]}" --out one_dm160 --strategy dm --memory 160
+run continual "${one[@]}" --out one_dm32_refresh --strategy dm --memory 32 \
+    --recompute-signatures

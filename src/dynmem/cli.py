@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -60,41 +61,57 @@ def _checked(convert, valid, what):
 COUNT = _checked(int, lambda v: v >= 1, "a positive integer")
 MEMORY_SIZE = _checked(int, lambda v: v >= 2 and v % 2 == 0, "an even integer >= 2")
 FINITE = _checked(float, math.isfinite, "a finite number")
-RAMP_FRACTION = _checked(float, lambda v: math.isfinite(v) and 0.0 <= v < 0.5,
-                         "a finite number in [0, 0.5)")
+RAMP_FRACTION = _checked(float, lambda v: 0.0 <= v < 0.5, "a finite number in [0, 0.5)")
+
+# flag: (the ExperimentConfig field it sets, type, help); each default is the field's
+SETTINGS = {
+    "--seeds": ("n_seeds", COUNT, "number of seeded repetitions"),
+    "--batch": ("input_batch_size", COUNT, "input-mini-batch size B"),
+    "--train-batch": ("train_batch_size", COUNT, "training-mini-batch size T"),
+    "--lr": ("learning_rate", FINITE, "learning rate for base and full training"),
+    "--stream-lr": ("stream_learning_rate", FINITE, "learning rate for the stream phase"),
+    "--base-epochs": ("base_epochs", COUNT, "base training epochs"),
+    "--full-epochs": ("full_epochs", COUNT, "full training epochs"),
+    "--probe-every": ("probe_every", COUNT, "steps between validation probes"),
+    "--lambda": ("ewc_lambda", FINITE, "EWC penalty weight"),
+    "--memory": ("memory_size", MEMORY_SIZE, "memory size M"),
+}
+STREAM_SETTINGS = ("--batch", "--train-batch", "--stream-lr", "--probe-every")
 
 
 def _add_common(p):
     p.add_argument("--config", help="flat key = value config file (flags override)")
-    p.add_argument("--seed", type=int, default=100, help="first seed")
-    p.add_argument("--seeds", type=COUNT, default=5, help="number of seeded repetitions")
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed, help="first seed")
     p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
 
 
 def _add_corpus_flags(p):
-    p.add_argument("--image-size", type=COUNT, default=32)
-    p.add_argument("--base-n", type=COUNT, default=600, help="base split size (task A)")
-    p.add_argument("--cont-a", type=COUNT, default=600)
-    p.add_argument("--cont-b", type=COUNT, default=400)
-    p.add_argument("--cont-c", type=COUNT, default=950)
-    p.add_argument("--eval-n", type=COUNT, default=150,
+    default = CorpusConfig()
+    p.add_argument("--image-size", type=COUNT, default=default.image_size)
+    p.add_argument("--base-n", type=COUNT, default=default.base_count,
+                   help="base split size (task A)")
+    for flag, count in zip(("--cont-a", "--cont-b", "--cont-c"), default.continuous_counts):
+        p.add_argument(flag, type=COUNT, default=count)
+    p.add_argument("--eval-n", type=COUNT, default=default.eval_count,
                    help="validation/test size per task")
-    p.add_argument("--ramp-fraction", type=RAMP_FRACTION, default=0.15,
+    p.add_argument("--ramp-fraction", type=RAMP_FRACTION, default=default.ramp_fraction,
                    help="share of the shorter adjacent segment carved into each "
                         "side of a transition ramp; 0 is an abrupt shift")
 
 
-def _add_training_flags(p):
+def _add_run_parser(sub, name, run, help, settings):
+    """The subcommand `name`, which `run` runs on a corpus: the common flags,
+    --corpus, --seeds and the given setting flags. A setting flag not given is
+    left out of the parsed args, so its ExperimentConfig field keeps its default."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(run=run)
+    _add_common(p)
     p.add_argument("--corpus", type=Path, required=True, help="corpus directory")
-    p.add_argument("--batch", type=COUNT, default=8, help="input-mini-batch size B")
-    p.add_argument("--train-batch", type=COUNT, default=8, help="training-mini-batch size T")
-    p.add_argument("--lr", type=FINITE, default=3e-3,
-                   help="learning rate for base and full training")
-    p.add_argument("--stream-lr", type=FINITE, default=5e-4,
-                   help="learning rate for the continual stream phase")
-    p.add_argument("--base-epochs", type=COUNT, default=6)
-    p.add_argument("--full-epochs", type=COUNT, default=12)
-    p.add_argument("--probe-every", type=COUNT, default=30)
+    for flag in ("--seeds", *settings):
+        dest, kind, text = SETTINGS[flag]
+        p.add_argument(flag, dest=dest, type=kind, default=argparse.SUPPRESS,
+                       help=f"{text} (default {getattr(ExperimentConfig, dest)})")
+    return p
 
 
 def build_parser():
@@ -104,55 +121,41 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate the synthetic corpus")
+    p.set_defaults(run=cmd_generate)
     _add_common(p)
     _add_corpus_flags(p)
 
-    p = sub.add_parser("train-base", help="train the base model on task A (per seed)")
-    _add_common(p)
-    _add_training_flags(p)
+    p = _add_run_parser(sub, "train-base", cmd_train_base,
+                        "train the base model on task A (per seed)",
+                        ("--train-batch", "--lr", "--base-epochs"))
     p.add_argument("--no-ewc", action="store_true",
                    help="skip Fisher/anchor computation in the checkpoint")
 
-    p = sub.add_parser("continual", help="run a continual strategy over the stream")
-    _add_common(p)
-    _add_training_flags(p)
+    p = _add_run_parser(sub, "continual", cmd_continual,
+                        "run a continual strategy over the stream",
+                        (*STREAM_SETTINGS, "--lambda", "--memory"))
     p.add_argument("--strategy", required=True, choices=("naive", "ewc", "ewc-fbn", "dm"))
-    p.add_argument("--memory", type=MEMORY_SIZE, default=32, help="memory size M")
-    p.add_argument("--lambda", dest="ewc_lambda", type=FINITE, default=3000.0,
-                   help="EWC penalty weight")
-    p.add_argument("--base", type=Path, default=None,
-                   help="directory holding base checkpoints (default: --out)")
-    p.add_argument("--recompute-signatures", action="store_true")
+    p.add_argument("--recompute-signatures", action="store_true", default=argparse.SUPPRESS)
+    p.add_argument("--base", type=Path, help="base checkpoint directory (default: --out)")
 
-    p = sub.add_parser("sweep-memory", help="run the dm strategy across memory sizes")
-    _add_common(p)
-    _add_training_flags(p)
+    p = _add_run_parser(sub, "sweep-memory", cmd_sweep_memory,
+                        "run the dm strategy across memory sizes", STREAM_SETTINGS)
     p.add_argument("--sizes", type=MEMORY_SIZE, nargs="+", default=list(DEFAULT_SWEEP_SIZES))
-    p.add_argument("--base", type=Path, default=None)
+    p.add_argument("--base", type=Path, help="base checkpoint directory (default: --out)")
 
-    p = sub.add_parser("full-training", help="epoch-based upper bound on all data")
-    _add_common(p)
-    _add_training_flags(p)
+    _add_run_parser(sub, "full-training", cmd_full_training,
+                    "epoch-based upper bound on all data",
+                    ("--train-batch", "--lr", "--full-epochs"))
     return parser
 
 
-def _experiment_config(args):
-    return ExperimentConfig(
-        seed=args.seed, n_seeds=args.seeds,
-        input_batch_size=args.batch, train_batch_size=args.train_batch,
-        memory_size=getattr(args, "memory", 32),
-        ewc_lambda=getattr(args, "ewc_lambda", 3000.0),
-        learning_rate=args.lr, stream_learning_rate=args.stream_lr,
-        base_epochs=args.base_epochs,
-        full_epochs=args.full_epochs, probe_every=args.probe_every,
-        recompute_signatures=getattr(args, "recompute_signatures", False),
-    )
-
-
-def _load_corpus(args, cfg):
+def _config_and_corpus(args):
+    """The corpus at --corpus, and the ExperimentConfig at its image size with the
+    setting flags given; the settings not given keep their defaults."""
     corpus = load_corpus(args.corpus)
-    cfg.image_size = corpus.config.image_size
-    return corpus
+    given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+             if hasattr(args, f.name)}
+    return ExperimentConfig(**given, image_size=corpus.config.image_size), corpus
 
 
 def _write_rows(path, rows):
@@ -168,7 +171,7 @@ def _write_json(path, payload):
 
 
 def _base_checkpoint(args, corpus, seed):
-    path = (getattr(args, "base", None) or args.out) / f"base_seed{seed}.ckpt"
+    path = (args.base or args.out) / f"base_seed{seed}.ckpt"
     if not path.exists():
         raise ConfigError(f"no base checkpoint at {path}; run train-base first")
     model = ConvNetClassifier.load(path)
@@ -190,8 +193,7 @@ def cmd_generate(args):
 
 
 def cmd_train_base(args):
-    cfg = _experiment_config(args)
-    corpus = _load_corpus(args, cfg)
+    cfg, corpus = _config_and_corpus(args)
     args.out.mkdir(parents=True, exist_ok=True)
     train = partial(run_base_training, corpus, cfg, with_ewc=not args.no_ewc)
     for (model, rows), seed in zip(map_seeds(train, cfg.seeds()), cfg.seeds()):
@@ -204,15 +206,10 @@ def cmd_train_base(args):
 
 
 def _continual_run(args, cfg, corpus, strategy, seed):
-    base_model = _base_checkpoint(args, corpus, seed)
-    if strategy in ("ewc", "ewc-fbn") and base_model.fisher is None:
-        raise ConfigError(f"strategy {strategy} needs a checkpoint with Fisher "
-                          f"information (re-run train-base without --no-ewc)")
-    return run_continual(corpus, base_model, strategy, cfg, seed)
+    return run_continual(corpus, _base_checkpoint(args, corpus, seed), strategy, cfg, seed)
 
 
-def _continual_runs(args, cfg, corpus, strategy, memory_size, out_dir):
-    cfg.memory_size = memory_size
+def _continual_runs(args, cfg, corpus, strategy, out_dir):
     summaries = []
     for result in map_seeds(partial(_continual_run, args, cfg, corpus, strategy), cfg.seeds()):
         run_dir = out_dir / f"seed{result.seed}"
@@ -225,26 +222,24 @@ def _continual_runs(args, cfg, corpus, strategy, memory_size, out_dir):
               f"bwt={result.summary['bwt']:.3f}", file=sys.stderr)
     agg = ev.aggregate_summaries(summaries, ("acc_A", "acc_B", "acc_C", "bwt", "fwt", "area_C"))
     _write_json(out_dir / "summary.json",
-                {"strategy": strategy, "memory_size": memory_size,
+                {"strategy": strategy, "memory_size": cfg.memory_size,
                  "seeds": cfg.seeds(), "aggregate": agg})
     return agg
 
 
 def cmd_continual(args):
-    cfg = _experiment_config(args)
-    corpus = _load_corpus(args, cfg)
-    out_dir = args.out / f"{args.strategy}_M{args.memory}" if args.strategy == "dm" \
-        else args.out / args.strategy
-    _continual_runs(args, cfg, corpus, args.strategy, args.memory, out_dir)
+    cfg, corpus = _config_and_corpus(args)
+    name = f"dm_M{cfg.memory_size}" if args.strategy == "dm" else args.strategy
+    _continual_runs(args, cfg, corpus, args.strategy, args.out / name)
     return 0
 
 
 def cmd_sweep_memory(args):
-    cfg = _experiment_config(args)
-    corpus = _load_corpus(args, cfg)
+    cfg, corpus = _config_and_corpus(args)
     lines = ["M,acc_A,acc_B,acc_C,acc_avg,area_C"]
     for size in args.sizes:
-        agg = _continual_runs(args, cfg, corpus, "dm", size, args.out / f"dm_M{size}")
+        cfg.memory_size = size
+        agg = _continual_runs(args, cfg, corpus, "dm", args.out / f"dm_M{size}")
         accs = [agg[f"acc_{t}"]["mean"] for t in TASKS]
         row = (size, *accs, float(np.mean(accs)), agg["area_C"]["mean"])
         lines.append(",".join(str(v) for v in row))
@@ -253,8 +248,7 @@ def cmd_sweep_memory(args):
 
 
 def cmd_full_training(args):
-    cfg = _experiment_config(args)
-    corpus = _load_corpus(args, cfg)
+    cfg, corpus = _config_and_corpus(args)
     summaries = []
     for result in map_seeds(partial(run_full_training, corpus, cfg), cfg.seeds()):
         run_dir = args.out / "full" / f"seed{result.seed}"
@@ -265,15 +259,6 @@ def cmd_full_training(args):
     _write_json(args.out / "full" / "summary.json",
                 {"strategy": "full", "seeds": cfg.seeds(), "aggregate": agg})
     return 0
-
-
-COMMANDS = {
-    "generate": cmd_generate,
-    "train-base": cmd_train_base,
-    "continual": cmd_continual,
-    "sweep-memory": cmd_sweep_memory,
-    "full-training": cmd_full_training,
-}
 
 
 def main(argv=None):
@@ -294,7 +279,7 @@ def main(argv=None):
                   file=sys.stderr)
             return 2
     try:
-        return COMMANDS[args.command](args)
+        return args.run(args)
     except (ConfigError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

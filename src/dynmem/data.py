@@ -24,6 +24,13 @@ CORPUS_FIELDS = (("ids", "int64"), ("tasks", "uint8"), ("labels", "uint8"),
 SPLITS = ("base", "continuous", "validation", "test")
 
 
+def check_ramp_fraction(ramp_fraction):
+    """Below one half, the two ramps of a task carve less than its whole segment."""
+    if not 0.0 <= ramp_fraction < 0.5:
+        raise ConfigError(f"ramp_fraction must be a finite number in [0, 0.5), "
+                          f"got {ramp_fraction!r}")
+
+
 @dataclass(frozen=True)
 class CorpusConfig:
     """Generator parameters plus per-split sample counts (desk scale)."""
@@ -45,10 +52,7 @@ class CorpusConfig:
     ramp_fraction: float = 0.15
 
     def __post_init__(self):
-        # below one half, the two ramps of a task carve less than its whole segment
-        if not 0.0 <= self.ramp_fraction < 0.5:
-            raise ConfigError(f"ramp_fraction must be a finite number in [0, 0.5), "
-                              f"got {self.ramp_fraction!r}")
+        check_ramp_fraction(self.ramp_fraction)
 
     def config_hash(self):
         payload = json.dumps(asdict(self), sort_keys=True, default=list)
@@ -205,6 +209,7 @@ def emit_stream(continuous, ramp_fraction, rng):
     inside it the earlier task's carved count is placed by weighted sampling
     without replacement, its weight falling linearly across the ramp.
     """
+    check_ramp_fraction(ramp_fraction)
     lengths = [int(np.sum(continuous.tasks == t)) for t in TASKS]
     if min(lengths) < 1:
         raise ConfigError(f"the continuous split has no samples of task {TASKS[lengths.index(0)]}")

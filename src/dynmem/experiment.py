@@ -45,8 +45,6 @@ class ExperimentConfig:
     recompute_signatures: bool = False
 
     def __post_init__(self):
-        if self.input_batch_size > self.train_batch_size:
-            raise ConfigError("input batch size B must not exceed training batch size T")
         if self.memory_size < 2:
             raise ConfigError("memory size M must be >= 2")
         for name in ("n_seeds", "input_batch_size", "train_batch_size",
@@ -188,7 +186,8 @@ def _evaluator(model, evaluate):
 
     With a spare core, `evaluate` runs in one forked process while training
     goes on: each submit sends it a copy of the model's eval state, which it
-    loads into the model it inherited. Otherwise it runs here, at once.
+    loads into the model it inherited. A submit first raises the exception of
+    any earlier evaluation that has failed. Otherwise it runs here, at once.
     """
     # a pool worker has no spare core: its pool already runs a process on each
     if _inherited_fn is not None or usable_cores() < 2:
@@ -204,13 +203,25 @@ def _evaluator(model, evaluate):
         return evaluate(step)
 
     with _forked_pool(1, evaluate_state) as submit_job:
-        yield lambda step: submit_job((step, model.eval_state())).result
+        futures = []
+
+        def submit(step):
+            for future in futures:
+                if future.done():
+                    future.result()  # raises an evaluation's exception, without waiting
+            futures.append(submit_job((step, model.eval_state())))
+            return futures[-1].result
+        yield submit
 
 
 def run_continual(corpus, base_model, strategy_name, cfg, seed):
     """One continual run over the stream, with probes, R-matrix and summary.
     An `_evaluator` computes the probes and R-matrix rows, beside the training
     where a core is spare; the results do not depend on where they ran."""
+    b = cfg.input_batch_size
+    if b > cfg.train_batch_size:
+        raise ConfigError(f"the input batch --batch ({b}) must not exceed the training batch "
+                          f"--train-batch ({cfg.train_batch_size})")
     model = base_model.clone()
     # the stream phase runs at a gentler rate than base training: each item is
     # seen once, and a hot optimizer would churn through old-task competence
@@ -218,12 +229,8 @@ def run_continual(corpus, base_model, strategy_name, cfg, seed):
     model.reset_optimizer()
     stream, checkpoints = emit_stream(corpus.continuous, corpus.config.ramp_fraction,
                                       np.random.default_rng(seed + STREAM_SEED_OFFSET))
-    strategy = make_strategy(strategy_name, model, ewc_lambda=cfg.ewc_lambda,
-                             memory_size=cfg.memory_size,
-                             train_batch_size=cfg.train_batch_size,
-                             recompute_signatures=cfg.recompute_signatures)
+    strategy = make_strategy(strategy_name, model, cfg)
     rng = np.random.default_rng(seed)
-    b = cfg.input_batch_size
     total_steps = len(stream) // b  # trailing partial batch is dropped
     checkpoint_steps = {task: min(pos // b + 1, total_steps) for task, pos in checkpoints.items()}
     if checkpoint_steps["B"] >= total_steps:

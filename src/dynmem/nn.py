@@ -29,6 +29,10 @@ def conv_output_size(size, kernel, stride, padding):
 # one block; 16 raised the peak resident set of base training by 2.5 MB.
 CONV_BLOCK = 8
 
+# fixed at their published defaults (Kingma & Ba 2015; Ioffe & Szegedy 2015)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+BN_MOMENTUM, BN_EPSILON = 0.1, 1e-5
+
 
 def _pad(x, padding):
     """Zero-pad the two spatial axes (a plain copy: np.pad costs more at these sizes)."""
@@ -177,11 +181,9 @@ class BatchNorm2d(Layer):
     eval: normalize by running statistics.
     """
 
-    def __init__(self, channels, momentum=0.1, eps=1e-5, dtype=np.float32):
+    def __init__(self, channels, dtype=np.float32):
         super().__init__()
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
         self.params["scale"] = np.ones(channels, dtype=dtype)
         self.params["shift"] = np.zeros(channels, dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)
@@ -192,12 +194,12 @@ class BatchNorm2d(Layer):
         if mode == "train":
             mean = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
-            self.running_mean += self.momentum * (mean - self.running_mean)
-            self.running_var += self.momentum * (var - self.running_var)
+            self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
+            self.running_var += BN_MOMENTUM * (var - self.running_var)
         else:
             mean = self.running_mean
             var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
         self._cache = (xhat, inv_std)
         return self.params["scale"][None, :, None, None] * xhat + self.params["shift"][None, :, None, None]
@@ -285,19 +287,16 @@ class Adam:
     """Adam with bias correction over a dict of named parameter arrays,
     updated in place. Moments and step counts are kept per name."""
 
-    def __init__(self, named_params, learning_rate=1e-4, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def __init__(self, named_params, learning_rate=1e-4):
         self._params = named_params
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.first_moment = {name: np.zeros_like(p) for name, p in named_params.items()}
         self.second_moment = {name: np.zeros_like(p) for name, p in named_params.items()}
         self.step_count = dict.fromkeys(named_params, 0)
 
     def step(self, named_grads):
         """Apply one update for every name present in named_grads."""
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for name, g in named_grads.items():
             p = self._params[name]
             if p.shape != np.shape(g):
@@ -309,4 +308,4 @@ class Adam:
             v = self.second_moment[name] = b2 * self.second_moment[name] + (1 - b2) * g * g
             m_hat = m / (1 - b1 ** t)
             v_hat = v / (1 - b2 ** t)
-            p[...] = p - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            p[...] = p - self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)

@@ -34,10 +34,10 @@ class EWCStrategy:
 
     name = "ewc"
 
-    def __init__(self, model, ewc_lambda=100.0, frozen_norm=False):
+    def __init__(self, model, ewc_lambda, frozen_norm=False):
         if model.fisher is None or model.anchor is None:
-            raise StateError("EWC needs a Fisher diagonal and a parameter anchor "
-                             "computed after base training")
+            raise StateError("EWC needs a Fisher diagonal and a parameter anchor computed "
+                             "after base training (rerun train-base without --no-ewc)")
         self.model = model
         self.ewc_lambda = ewc_lambda
         self.frozen_norm = frozen_norm
@@ -76,8 +76,7 @@ class DMStrategy:
 
     name = "dm"
 
-    def __init__(self, model, memory_size=32, train_batch_size=8,
-                 recompute_signatures=False):
+    def __init__(self, model, memory_size, train_batch_size, recompute_signatures=False):
         self.model = model
         self.memory = DynamicMemory(memory_size)
         self.train_batch_size = train_batch_size
@@ -111,17 +110,13 @@ class DMStrategy:
                 "n_misclassified": n_mis}
 
 
-def make_strategy(name, model, ewc_lambda=100.0, memory_size=32, train_batch_size=8,
-                  recompute_signatures=False):
+def make_strategy(name, model, cfg):
+    """The strategy `name` on `model`, with its settings from the ExperimentConfig `cfg`."""
     if name == "naive":
         return NaiveStrategy(model)
-    if name == "ewc":
-        return EWCStrategy(model, ewc_lambda=ewc_lambda)
-    if name == "ewc-fbn":
-        return EWCStrategy(model, ewc_lambda=ewc_lambda, frozen_norm=True)
+    if name in ("ewc", "ewc-fbn"):
+        return EWCStrategy(model, cfg.ewc_lambda, frozen_norm=name == "ewc-fbn")
     if name == "dm":
-        return DMStrategy(model, memory_size=memory_size,
-                          train_batch_size=train_batch_size,
-                          recompute_signatures=recompute_signatures)
+        return DMStrategy(model, cfg.memory_size, cfg.train_batch_size,
+                          cfg.recompute_signatures)
     raise ConfigError(f"unknown strategy {name!r}")
-

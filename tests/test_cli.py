@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import dynmem
-from dynmem.cli import main
-from dynmem.experiment import usable_cores
+from dynmem.cli import _config_and_corpus, build_parser, main
+from dynmem.experiment import ExperimentConfig, usable_cores
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +34,7 @@ def workspace(tmp_path_factory):
 
 def run_continual(corpus, out, *extra):
     return main(["continual", "--corpus", str(corpus), "--out", str(out),
-                 "--seed", "0", "--seeds", "1", "--base-epochs", "1",
-                 "--probe-every", "5", *extra])
+                 "--seed", "0", "--seeds", "1", "--probe-every", "5", *extra])
 
 
 def test_generate_writes_manifest(workspace):
@@ -97,8 +96,8 @@ def test_continual_ewc_requires_fisher_checkpoint(workspace, tmp_path):
 def test_sweep_memory_table(workspace, tmp_path):
     corpus, out = workspace
     rc = main(["sweep-memory", "--corpus", str(corpus), "--out", str(tmp_path),
-               "--seed", "0", "--seeds", "1", "--base-epochs", "1",
-               "--probe-every", "5", "--sizes", "4", "8", "--base", str(out)])
+               "--seed", "0", "--seeds", "1", "--probe-every", "5", "--sizes", "4", "8",
+               "--base", str(out)])
     assert rc == 0
     lines = (tmp_path / "memory_sweep.csv").read_text().splitlines()
     assert lines[0] == "M,acc_A,acc_B,acc_C,acc_avg,area_C"
@@ -244,6 +243,18 @@ def exit_code(argv):
     pytest.param("generate", ["--eval-n", "0"], "--eval-n", id="eval-n-zero"),
     pytest.param("generate", ["--base-n", "-5"], "--base-n", id="base-n-negative"),
     pytest.param("generate", ["--image-size", "0"], "--image-size", id="image-size-zero"),
+    # a flag of another subcommand, which this one does not read
+    pytest.param("generate", ["--seeds", "3"], "--seeds", id="unread-generate-seeds"),
+    pytest.param("train-base", ["--batch", "3"], "--batch", id="unread-train-base-batch"),
+    pytest.param("train-base", ["--probe-every", "3"], "--probe-every",
+                 id="unread-train-base-probe-every"),
+    pytest.param("continual", ["--lr", "3"], "--lr", id="unread-continual-lr"),
+    pytest.param("continual", ["--base-epochs", "3"], "--base-epochs",
+                 id="unread-continual-base-epochs"),
+    pytest.param("sweep-memory", ["--full-epochs", "3"], "--full-epochs",
+                 id="unread-sweep-memory-full-epochs"),
+    pytest.param("full-training", ["--stream-lr", "3"], "--stream-lr",
+                 id="unread-full-training-stream-lr"),
 ])
 def test_bad_flag_is_usage_error_naming_the_flag(tmp_path, capsys, command, flags, named):
     cfg = tmp_path / "bad.cfg"
@@ -258,10 +269,39 @@ def test_bad_flag_is_usage_error_naming_the_flag(tmp_path, capsys, command, flag
     assert named in capsys.readouterr().err
 
 
+def test_continual_without_setting_flags_runs_the_default_config(workspace):
+    corpus, _ = workspace  # of the default image size
+    args = build_parser().parse_args(["continual", "--corpus", str(corpus), "--seed", "7",
+                                      "--strategy", "dm"])
+    cfg, _ = _config_and_corpus(args)
+    assert cfg == ExperimentConfig(seed=7)
+
+
+@pytest.mark.parametrize("command, epochs", [("train-base", "--base-epochs"),
+                                             ("full-training", "--full-epochs")])
+def test_training_batch_smaller_than_the_input_batch_default_runs(workspace, tmp_path,
+                                                                  command, epochs):
+    # neither command reads the input batch B, so T below its default is no error
+    corpus, _ = workspace
+    assert main([command, "--corpus", str(corpus), "--out", str(tmp_path), "--seed", "0",
+                 "--seeds", "1", epochs, "1", "--train-batch", "4"]) == 0
+
+
+def test_input_batch_larger_than_the_training_batch_is_runtime_error(workspace, tmp_path,
+                                                                      capsys):
+    corpus, out = workspace
+    capsys.readouterr()
+    assert run_continual(corpus, tmp_path / "res", "--strategy", "naive", "--base", str(out),
+                         "--batch", "16") == 1
+    err = capsys.readouterr().err
+    assert "--batch (16)" in err and "--train-batch (8)" in err and "Traceback" not in err
+    assert not (tmp_path / "res").exists()
+
+
 def test_config_file_values_are_typed_and_explicit_flags_win(workspace, tmp_path):
     corpus, out = workspace
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("memory = 8\nseed = 0\nseeds = 1\nprobe_every = 5\nbase-epochs = 1\n"
+    cfg.write_text("memory = 8\nseed = 0\nseeds = 1\nprobe_every = 5\n"
                    "recompute-signatures = true\nstream-lr = 0.9\n")
     by_file = tmp_path / "by_file"
     assert main(["continual", f"--config={cfg}", "--corpus", str(corpus), "--out", str(by_file),
@@ -319,10 +359,10 @@ def test_training_batch_larger_than_the_training_set_is_runtime_error(workspace,
     # the workspace corpus holds 24 base images and 88 base and continuous ones
     corpus, _ = workspace
     out = tmp_path / "out"
+    epochs = "--base-epochs" if command == "train-base" else "--full-epochs"
     capsys.readouterr()
     assert main([command, "--corpus", str(corpus), "--out", str(out), "--seed", "0",
-                 "--seeds", "1", "--base-epochs", "1", "--full-epochs", "1",
-                 "--train-batch", size]) == 1
+                 "--seeds", "1", epochs, "1", "--train-batch", size]) == 1
     err = capsys.readouterr().err
     assert f"batch of {size}" in err and "--train-batch" in err
     assert not out.exists() or not any(out.iterdir())  # no untrained checkpoint or result

@@ -293,12 +293,14 @@ def test_corpus_load_rejects_a_damaged_split_naming_the_file(tmp_path, corpus, d
         load_corpus(tmp_path / "corpus")
 
 
-@pytest.mark.parametrize("fraction", [0.5, -0.1, float("nan")])
+@pytest.mark.parametrize("fraction", [0.5, -0.1, float("nan"), 0.6, 1.0])
 def test_ramp_fraction_outside_its_range_is_rejected(tmp_path, corpus, fraction):
     """Below one half, the two ramps of a task carve less than its segment,
     so every task keeps a pure segment and a checkpoint."""
     with pytest.raises(ConfigError, match="ramp_fraction"):
         CorpusConfig(ramp_fraction=fraction)
+    with pytest.raises(ConfigError, match="ramp_fraction"):
+        emit_stream(stand_in((10, 10, 10)), fraction, np.random.default_rng(0))
     save_corpus(corpus, tmp_path / "corpus")
     path = tmp_path / "corpus" / "manifest.json"
     manifest = json.loads(path.read_text())

@@ -5,6 +5,7 @@ import ctypes
 import multiprocessing
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dynmem.data import CorpusConfig, build_corpus
 from dynmem.evaluation import R_ROWS
 from dynmem.experiment import (ExperimentConfig, map_seeds, run_base_training, run_continual,
                                run_full_training, usable_cores)
+from dynmem.strategies import NaiveStrategy
 from dynmem.validation import ConfigError
 
 TINY = CorpusConfig(base_count=40, continuous_counts=(40, 24, 40), eval_count=16)
@@ -38,9 +40,6 @@ def base_model(corpus, cfg):
 
 # -- configuration ---------------------------------------------------------
 
-def test_config_rejects_input_batch_larger_than_train_batch():
-    with pytest.raises(ConfigError):
-        ExperimentConfig(input_batch_size=16, train_batch_size=8)
 
 
 def test_config_rejects_tiny_memory():
@@ -126,18 +125,35 @@ def test_probe_rows_cover_start_and_end(corpus, cfg, base_model):
     assert probe[0] == 0 and probe[-1] == total_steps
 
 
+def test_run_continual_rejects_input_batch_larger_than_train_batch(corpus, base_model):
+    # only the stream reads B; a config with B > T is still a valid base-training config
+    cfg = ExperimentConfig(seed=0, n_seeds=1, input_batch_size=16, train_batch_size=8)
+    with pytest.raises(ConfigError, match=re.escape("--batch (16)") + ".*"
+                       + re.escape("--train-batch (8)")):
+        run_continual(corpus, base_model, "naive", cfg, seed=0)
+
+
 @pytest.mark.skipif(usable_cores() < 2, reason="needs a spare core for the evaluator")
 def test_an_evaluator_failure_is_raised_with_its_message(corpus, cfg, base_model, monkeypatch):
-    parent, accuracy = os.getpid(), ev.accuracy
+    parent, accuracy, step = os.getpid(), ev.accuracy, NaiveStrategy.step
+    steps = []
 
     def failing_in_a_child(model, images, labels, **kw):
         if os.getpid() != parent:
             raise ValueError(f"no accuracy in process {os.getpid()}")
         return accuracy(model, images, labels, **kw)
 
+    def slow_step(self, *args, **kw):
+        steps.append(None)
+        time.sleep(0.1)  # time for the evaluator to fail at step 0
+        return step(self, *args, **kw)
+
     monkeypatch.setattr(ev, "accuracy", failing_in_a_child)
+    monkeypatch.setattr(NaiveStrategy, "step", slow_step)
     with pytest.raises(ValueError, match=r"no accuracy in process \d+") as exc:
         run_continual(corpus, base_model, "naive", cfg, seed=0)
+    # the failure stops the stream at a later evaluation, not after its last step
+    assert len(steps) < (40 + 24 + 40) // cfg.input_batch_size
     assert multiprocessing.active_children() == []
     with pytest.raises(ProcessLookupError):  # the evaluator has exited and been reaped
         os.kill(int(re.search(r"\d+", str(exc.value)).group()), 0)

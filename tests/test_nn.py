@@ -191,7 +191,7 @@ def test_bn_two_point_batch_hand_oracle():
 
 
 def test_bn_running_stats_momentum_update():
-    layer = nn.BatchNorm2d(2, momentum=0.1, dtype=np.float64)
+    layer = nn.BatchNorm2d(2, dtype=np.float64)
     rng = np.random.default_rng(6)
     x = rng.standard_normal((8, 2, 4, 4))
     layer.forward(x, "train")

@@ -4,6 +4,7 @@ normalization, and the dynamic-memory rehearsal step.
 import numpy as np
 import pytest
 
+from dynmem.experiment import ExperimentConfig
 from dynmem.gram import gram_matrix
 from dynmem.model import ConvNetClassifier
 from dynmem.strategies import DMStrategy, EWCStrategy, NaiveStrategy, make_strategy
@@ -58,21 +59,30 @@ class TenParamStub:
 # -- factory ---------------------------------------------------------------
 
 def test_make_strategy_names():
-    model = make_base_model()
-    assert make_strategy("naive", model).name == "naive"
-    assert make_strategy("ewc", model).name == "ewc"
-    assert make_strategy("ewc-fbn", model).name == "ewc-fbn"
-    assert make_strategy("dm", model).name == "dm"
+    model, cfg = make_base_model(), ExperimentConfig()
+    assert make_strategy("naive", model, cfg).name == "naive"
+    assert make_strategy("ewc", model, cfg).name == "ewc"
+    assert make_strategy("ewc-fbn", model, cfg).name == "ewc-fbn"
+    assert make_strategy("dm", model, cfg).name == "dm"
+
+
+def test_make_strategy_takes_its_settings_from_the_config():
+    cfg = ExperimentConfig(memory_size=16, train_batch_size=12, ewc_lambda=50.0,
+                           recompute_signatures=True)
+    ewc = make_strategy("ewc-fbn", make_base_model(), cfg)
+    assert ewc.ewc_lambda == 50.0 and ewc.frozen_norm
+    dm = make_strategy("dm", make_base_model(), cfg)
+    assert (dm.memory.capacity, dm.train_batch_size, dm.recompute_signatures) == (16, 12, True)
 
 
 def test_make_strategy_unknown_raises():
     with pytest.raises(ConfigError):
-        make_strategy("gem", make_base_model())
+        make_strategy("gem", make_base_model(), ExperimentConfig())
 
 
 def test_ewc_without_fisher_raises():
-    with pytest.raises(StateError):
-        EWCStrategy(make_base_model(with_ewc=False))
+    with pytest.raises(StateError, match="--no-ewc"):
+        EWCStrategy(make_base_model(with_ewc=False), ewc_lambda=100.0)
 
 
 # -- naive -----------------------------------------------------------------
@@ -169,14 +179,14 @@ def test_ewc_fbn_freezes_running_stats_and_affine():
 # -- dynamic memory step ---------------------------------------------------
 
 def test_dm_rejects_input_batch_larger_than_training_batch():
-    strat = DMStrategy(make_base_model(with_ewc=False), train_batch_size=4)
+    strat = DMStrategy(make_base_model(with_ewc=False), memory_size=32, train_batch_size=4)
     X, y = batch(n=8)
     with pytest.raises(ConfigError):
         strat.step(X, y, rng=np.random.default_rng(0))
 
 
 def test_dm_inserts_every_incoming_sample():
-    strat = DMStrategy(make_base_model(with_ewc=False), memory_size=32)
+    strat = DMStrategy(make_base_model(with_ewc=False), memory_size=32, train_batch_size=8)
     rng = np.random.default_rng(10)
     for i in range(4):  # 4 of each label per batch: every sample appends
         X, y = batch(seed=300 + i)
@@ -186,7 +196,7 @@ def test_dm_inserts_every_incoming_sample():
 
 def test_dm_training_batch_contains_all_misclassified():
     model = make_base_model(with_ewc=False, seed=11)
-    strat = DMStrategy(model, memory_size=32)
+    strat = DMStrategy(model, memory_size=32, train_batch_size=8)
     rng = np.random.default_rng(11)
     X, y = batch(seed=11)
     preds = model.predict(X)
@@ -203,7 +213,7 @@ def test_dm_training_batch_contains_all_misclassified():
 
 def test_dm_training_batch_fills_with_memory_draws():
     model = make_base_model(with_ewc=False, seed=12)
-    strat = DMStrategy(model, memory_size=32)
+    strat = DMStrategy(model, memory_size=32, train_batch_size=8)
     rng = np.random.default_rng(12)
     X, y = batch(seed=12)
     strat.step(X, y, rng=rng)  # prime the memory
@@ -231,7 +241,7 @@ def test_dm_memory_update_precedes_model_update():
     """The rows stored in a step are, bit for bit, the grams of their images
     under the model as it was before the step's update."""
     model = make_base_model(with_ewc=False, seed=13)
-    strat = DMStrategy(model, memory_size=32)
+    strat = DMStrategy(model, memory_size=32, train_batch_size=8)
     rng = np.random.default_rng(14)
     trained = capture_train_batches(model)
     for i in range(3):
@@ -248,7 +258,7 @@ def test_dm_memory_update_precedes_model_update():
 
 
 def test_dm_respects_quota_under_streaming():
-    strat = DMStrategy(make_base_model(with_ewc=False), memory_size=8)
+    strat = DMStrategy(make_base_model(with_ewc=False), memory_size=8, train_batch_size=8)
     rng = np.random.default_rng(15)
     for i in range(20):
         X, y = batch(seed=500 + i)
@@ -263,7 +273,7 @@ def test_dm_recompute_signatures_tracks_model_version():
     bit for bit, under the model as it was before the step's update; the
     other label's rows keep their values."""
     model = make_base_model(with_ewc=False, seed=16)
-    strat = DMStrategy(model, memory_size=32, recompute_signatures=True)
+    strat = DMStrategy(model, memory_size=32, train_batch_size=8, recompute_signatures=True)
     rng = np.random.default_rng(16)
     for i in range(3):
         before = model.clone()

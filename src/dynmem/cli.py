@@ -119,6 +119,7 @@ def build_parser():
                                      description="Continual-learning experiments with a "
                                                  "gram-distance dynamic rehearsal memory.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> subparser, for main's usage errors
 
     p = sub.add_parser("generate", help="generate the synthetic corpus")
     p.set_defaults(run=cmd_generate)
@@ -264,7 +265,9 @@ def cmd_full_training(args):
 def main(argv=None):
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # reported with the subcommand's usage, not the top level's
+        parser.commands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     if args.config is not None:
         try:
             file_flags = _read_config_file(args.config)

@@ -44,7 +44,7 @@ class DynamicMemory:
         self.quota = capacity // 2
         self._size = 0
         self._rows = _records(0, np.zeros(()))  # (capacity,) once the first item arrives
-        self.grams = None  # one (capacity, N, N) float64 stack per tap
+        self.grams = self._norms = None  # per tap: (capacity, N, N) float64 stack; squared norms
 
     def __len__(self):
         return self._size
@@ -68,9 +68,32 @@ class DynamicMemory:
         rows = np.flatnonzero(self._column("label") == label)
         if not rows.size:
             raise StateError(f"no stored item of class {label} to replace")
+        rows = self._screen(signature, rows)
         distances = gram_distance(signature, [g[rows] for g in self.grams])
         best = int(np.argmin(distances))
         return int(rows[best]), float(distances[best])
+
+    def _screen(self, signature, rows):
+        """The `rows`, in order, that can hold the first minimum of the gram distance to
+        `signature`; all `rows` where a bound is not finite. est, the sum over T taps of
+        (|y|^2 + |x|^2 - 2y.x)/m (m = N*N), and gram_distance sum products y_i^2, x_i^2, y_i x_i or
+        (y_i - x_i)^2, each rounded <= k = max m + T + 2 times (m-term sum; add and subtract or
+        subtract and square; /m; tap sum): within g(k) = ku/(1-ku), u = 2**-53, of exact (Higham,
+        Accuracy and Stability of Numerical Algorithms, 3.1). As W = |y|^2 + |x|^2 >= |y-x|^2/2,
+        both are within 2g(k) sum W/m of sum |y-x|^2/m; rho, the computed sum of (|y|^2 + |x|^2)/m,
+        is >= (1 - g(k)) sum W/m: |distance - est| <= 5g(k)rho, and 8g(k)rho covers rounding
+        est +- radius. T*2**-1071 covers subnormals (7 errors of 2**-1075 per tap); 8k rho < inf
+        rules out overflow."""
+        size, k = self._size, max(g[0].size for g in self.grams) + len(self.grams) + 2
+        est = rho = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for g, norms, x in zip(self.grams, self._norms, map(np.ravel, signature)):
+                c = norms[:size] + x @ x
+                est = est + (c - 2 * (g[:size].reshape(size, -1) @ x)) / x.size
+                rho = rho + c / x.size
+            radius = 8 * k / (2.0**53 - k) * rho[rows] + len(self.grams) * 2.0**-1071
+            kept = rows[est[rows] - radius <= (est[rows] + radius).min()]
+        return kept if np.isfinite(8 * k * rho[rows]).all() else rows
 
     def insert(self, image, label, signature, step, task_id="?"):
         """Store one incoming sample; append while the class quota is open,
@@ -78,6 +101,7 @@ class DynamicMemory:
         image = np.asarray(image)
         if self.grams is None:
             self.grams = [np.zeros((self.capacity, *np.shape(g))) for g in signature]
+            self._norms = np.zeros((len(signature), self.capacity))
             self._rows = _records(self.capacity, image)
         shapes, stored = [np.shape(g) for g in signature], [g.shape[1:] for g in self.grams]
         if shapes != stored:
@@ -91,9 +115,13 @@ class DynamicMemory:
         else:
             outcome = InsertOutcome("replaced", *self.argmin_replacement_index(label, signature))
         self._rows[outcome.index] = (image, label, step, task_id, outcome.distance)
-        for g, row in zip(self.grams, signature):
-            g[outcome.index] = row
+        self._store(outcome.index, signature)
         return outcome
+
+    def _store(self, index, stacks):  # each tap's signatures and squared norms at `index`
+        for g, norms, stack in zip(self.grams, self._norms, stacks):
+            g[index] = stack
+            norms[index] = np.einsum("...ij,...ij->...", stack, stack)
 
     def draw_rehearsal(self, k, rng):
         """(images, labels) of a uniform draw of up to k items without
@@ -114,8 +142,7 @@ class DynamicMemory:
             np.flatnonzero(np.isin(self._column("label"), list(labels)))
         if not rows.size:
             return
-        for g, stack in zip(self.grams, signature_fn(self._rows["image"][rows])):
-            g[rows] = stack
+        self._store(rows, signature_fn(self._rows["image"][rows]))
 
     def dump(self):
         """Diagnostic text: one line per item {step, label, task, distance}."""

@@ -256,7 +256,8 @@ def exit_code(argv):
     pytest.param("full-training", ["--stream-lr", "3"], "--stream-lr",
                  id="unread-full-training-stream-lr"),
 ])
-def test_bad_flag_is_usage_error_naming_the_flag(tmp_path, capsys, command, flags, named):
+def test_bad_flag_is_usage_error_naming_the_flag(tmp_path, capsys, request, command, flags,
+                                                  named):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("seeds = 1\nmomentum = 0.9\n")
     argv = [command, "--out", str(tmp_path / "out")]
@@ -266,7 +267,10 @@ def test_bad_flag_is_usage_error_naming_the_flag(tmp_path, capsys, command, flag
         argv += ["--strategy", "dm"]
     capsys.readouterr()
     assert exit_code(argv + [f.format(cfg=cfg) for f in flags]) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err
+    if request.node.callspec.id.startswith("unread-"):  # the subcommand's usage, not dynmem's
+        assert f"dynmem {command}" in err
 
 
 def test_continual_without_setting_flags_runs_the_default_config(workspace):
@@ -463,6 +467,8 @@ def test_failing_seed_in_a_worker_exits_1_and_leaves_no_process(workspace, tmp_p
 @pytest.mark.parametrize("flags, named", [
     (["--strategy", "naive", "--stream-lr", "1e30"], ["--stream-lr"]),
     (["--strategy", "ewc", "--lambda", "1e300"], ["--stream-lr", "--lambda"]),
+    # NaN signatures reach the memory's replacement search before the loss is checked
+    (["--strategy", "dm", "--memory", "4", "--stream-lr", "1e30"], ["--stream-lr"]),
 ])
 def test_diverging_stream_exits_1_naming_step_and_flags(workspace, tmp_path, flags, named):
     # one seed: where a core is spare, a forked evaluator is running when the loss turns NaN

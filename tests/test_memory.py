@@ -4,7 +4,7 @@ gram-distance replacement and rehearsal draws.
 import numpy as np
 import pytest
 
-from dynmem.gram import gram_distance
+from dynmem.gram import gram_distance, gram_matrix
 from dynmem.memory import DynamicMemory
 from dynmem.validation import ConfigError, ShapeError, StateError
 
@@ -174,3 +174,113 @@ def test_refresh_signatures_recomputes_selected_labels():
 
     mem.refresh_signatures(new_sigs, labels={0})
     assert mem.grams[0][:len(mem), 0, 0].tolist() == [9.0, 9.0, 3.0]
+
+
+# -- the screened replacement search against a scan over every same-class row --
+
+def scan_all(mem, label, signature):
+    """(index, distance) of the first minimum of gram_distance over every
+    same-class row, as the search computed it before it was screened."""
+    rows = np.flatnonzero(mem.items.label == label)
+    distances = gram_distance(signature, [g[rows] for g in mem.grams])
+    best = int(np.argmin(distances))
+    return int(rows[best]), distances[best]
+
+
+def assert_search_is_the_scan(mem, label, signature):
+    want_index, want_distance = scan_all(mem, label, signature)
+    index, distance = mem.argmin_replacement_index(label, signature)
+    assert index == want_index
+    assert np.float64(distance).tobytes() == np.float64(want_distance).tobytes()  # NaN too
+    return index, distance
+
+
+def fill_signatures(mem, labels, signatures):
+    for step, (label, signature) in enumerate(zip(labels, signatures)):
+        mem.insert(np.zeros((1, 2, 2)), label, signature, step)
+
+
+def taps(rng, sizes=(8, 16, 32, 64), scale=1.0):
+    return [rng.standard_normal((n, n)) * scale for n in sizes]
+
+
+def test_screened_search_equals_the_scan_on_gram_signatures_and_keeps_one_row():
+    rng = np.random.default_rng(5)
+    mem = DynamicMemory(40)
+    for step in range(120):
+        feature_maps = [rng.standard_normal((n, 4, 4)) for n in (8, 16, 32, 64)]
+        signature, label = [gram_matrix(f) for f in feature_maps], step % 2
+        if mem.class_count(label) >= mem.quota:
+            assert_search_is_the_scan(mem, label, signature)
+            assert mem._screen(signature, np.flatnonzero(mem.items.label == label)).size == 1
+        mem.insert(np.zeros((1, 2, 2)), label, signature, step)
+
+
+def test_screened_search_breaks_a_tie_of_equal_signatures_to_the_oldest():
+    rng = np.random.default_rng(6)
+    mem = DynamicMemory(8)
+    same, labels = taps(rng), [1, 0, 1, 0, 0, 1, 0, 1]
+    fill_signatures(mem, labels, [taps(rng) if lab else same for lab in labels])
+    assert assert_search_is_the_scan(mem, 0, same) == (1, 0.0)
+    assert assert_search_is_the_scan(mem, 0, taps(rng))[0] == 1
+
+
+def test_screened_search_on_copies_one_ulp_apart():
+    rng = np.random.default_rng(7)
+    base = taps(rng, scale=1e3)
+    mem = DynamicMemory(16)
+    copies = [[np.where(rng.random(b.shape) < 0.5, np.nextafter(b, np.inf * s), b)
+               for b in base] for s in rng.choice([-1.0, 1.0], size=16)]
+    fill_signatures(mem, [0, 1] * 8, copies)
+    for signature in (base, copies[4], [np.nextafter(b, 0.0) for b in base]):
+        assert_search_is_the_scan(mem, 0, signature)
+
+
+def test_screened_search_under_worst_cancellation():
+    # norms near 1e8 per entry, differences near 1e-6: the expansion cannot
+    # separate the rows, so the screen keeps them and the scan decides
+    rng = np.random.default_rng(8)
+    base = taps(rng, scale=1e8)
+    near = [[b + rng.standard_normal(b.shape) * 1e-6 for b in base] for _ in range(10)]
+    mem = DynamicMemory(10)
+    fill_signatures(mem, [0, 1] * 5, near)
+    for _ in range(5):
+        assert_search_is_the_scan(mem, 0, [b + rng.standard_normal(b.shape) * 1e-6
+                                           for b in base])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_screened_search_with_a_non_finite_signature(bad):
+    rng = np.random.default_rng(9)
+    signatures = [taps(rng) for _ in range(8)]
+    poisoned = [g.copy() for g in signatures[4]]
+    poisoned[1][3, 2] = bad
+    mem = DynamicMemory(8)
+    fill_signatures(mem, [0, 1] * 4, signatures[:4] + [poisoned] + signatures[5:])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for incoming in (taps(rng), poisoned, signatures[2]):
+            assert_search_is_the_scan(mem, 0, incoming)
+        mem.insert(np.zeros((1, 2, 2)), 0, poisoned, 9)  # a replacement still happens
+    assert len(mem) == 8
+
+
+def test_replacement_after_refresh_uses_the_refreshed_signatures():
+    # stored 10, 20, 30 are refreshed to 3, 2, 1: a norm column left at 100,
+    # 400, 900 would screen out the row now equal to the incoming 1
+    mem = DynamicMemory(6)
+    fill_class(mem, 0, [10.0, 20.0, 30.0])
+    fill_class(mem, 1, [5.0])
+    mem.refresh_signatures(lambda images: [np.array([3.0, 2.0, 1.0])[:, None, None]],
+                           labels={0})
+    assert assert_search_is_the_scan(mem, 0, sig(1.0)) == (2, 0.0)
+    assert mem.insert(np.zeros((1, 2, 2)), 0, sig(1.0), 9).index == 2
+
+
+def test_gram_distance_of_a_subset_of_rows_has_the_full_stack_bits():
+    rng = np.random.default_rng(10)
+    stacks = [rng.standard_normal((160, n, n)) for n in (8, 16, 32, 64)]
+    incoming = taps(rng)
+    full = gram_distance(incoming, stacks)
+    for rows in ([0], [159], [3, 77], np.arange(0, 160, 2), np.arange(17, 100)):
+        subset = gram_distance(incoming, [s[rows] for s in stacks])
+        assert subset.tobytes() == full[rows].tobytes()

@@ -55,8 +55,7 @@ class DynamicMemory:
         fields image, label, step, task_id and distance."""
         return self._rows[:self._size].view(np.recarray)
 
-    def _column(self, field):
-        # by field name: a recarray view costs microseconds per access
+    def _column(self, field):  # by field name: a recarray view costs microseconds per access
         return self._rows[field][:self._size]
 
     def class_count(self, label):
@@ -68,10 +67,16 @@ class DynamicMemory:
         rows = np.flatnonzero(self._column("label") == label)
         if not rows.size:
             raise StateError(f"no stored item of class {label} to replace")
-        rows = self._screen(signature, rows)
+        rows = self._screen(self._as_stored(signature), rows)
         distances = gram_distance(signature, [g[rows] for g in self.grams])
         best = int(np.argmin(distances))
         return int(rows[best]), float(distances[best])
+
+    def _as_stored(self, signature):  # its taps in float64, as _screen's bound assumes
+        shapes, stored = [np.shape(g) for g in signature], [g.shape[1:] for g in self.grams]
+        if shapes != stored:
+            raise ShapeError(f"signatures have mismatched layer structure: {shapes} vs {stored}")
+        return [np.asarray(g, np.float64) for g in signature]
 
     def _screen(self, signature, rows):
         """The `rows`, in order, that can hold the first minimum of the gram distance to
@@ -103,9 +108,7 @@ class DynamicMemory:
             self.grams = [np.zeros((self.capacity, *np.shape(g))) for g in signature]
             self._norms = np.zeros((len(signature), self.capacity))
             self._rows = _records(self.capacity, image)
-        shapes, stored = [np.shape(g) for g in signature], [g.shape[1:] for g in self.grams]
-        if shapes != stored:
-            raise ShapeError(f"signatures have mismatched layer structure: {shapes} vs {stored}")
+        signature = self._as_stored(signature)
         if image.shape != self._rows.dtype["image"].shape:
             raise ShapeError(f"image shape {image.shape} differs from the stored "
                              f"{self._rows.dtype['image'].shape}")
@@ -120,16 +123,14 @@ class DynamicMemory:
 
     def _store(self, index, stacks):  # each tap's signatures and squared norms at `index`
         for g, norms, stack in zip(self.grams, self._norms, stacks):
-            g[index] = stack
+            g[index] = stack = np.asarray(stack, np.float64)  # the norm of what is stored
             norms[index] = np.einsum("...ij,...ij->...", stack, stack)
 
     def draw_rehearsal(self, k, rng):
         """(images, labels) of a uniform draw of up to k items without
         replacement."""
-        if k <= 0 or not len(self):
-            idx = np.arange(0)
-        else:
-            idx = rng.choice(len(self), size=min(k, len(self)), replace=False)
+        idx = (rng.choice(len(self), size=min(k, len(self)), replace=False)
+               if k > 0 and len(self) else np.arange(0))
         return self._rows["image"][idx], self._rows["label"][idx]
 
     def refresh_signatures(self, signature_fn, labels=None):
@@ -140,9 +141,8 @@ class DynamicMemory:
         # list(): np.isin would take a set as one object
         rows = np.arange(len(self)) if labels is None else \
             np.flatnonzero(np.isin(self._column("label"), list(labels)))
-        if not rows.size:
-            return
-        self._store(rows, signature_fn(self._rows["image"][rows]))
+        if rows.size:
+            self._store(rows, signature_fn(self._rows["image"][rows]))
 
     def dump(self):
         """Diagnostic text: one line per item {step, label, task, distance}."""

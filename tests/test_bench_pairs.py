@@ -1,5 +1,7 @@
-"""Tests for tools/bench_pairs.py's statistics block (no perfbench run)."""
+"""Tests for tools/bench_pairs.py's statistics block and command line (no perfbench run)."""
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -38,3 +40,27 @@ def test_touching_iqrs_overlap_and_ties_are_no_win():
                                 {"parent": 0, "change": 0})["run_s"]
     assert run["pairs_change_lower"] == "0/3"
     assert run["overlap_of_iqrs"] is True  # change q1 2.5 <= parent q3 2.5
+
+
+def test_run_length_and_workloads_come_from_the_benchmark(monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(argv, **kwargs):
+        calls.append(argv)
+        report = {"metrics": {name: {"value": 1.0} for name in bench_pairs.END_TO_END},
+                  "correct": True, "failed": 0}
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(report) + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").touch()
+    workloads = [w["name"] for w in bench_pairs.BENCHMARK["workloads"]]
+    for workload in workloads:
+        assert bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", workload,
+                                 "--seeds", "7"]) == 0
+    seconds = str(bench_pairs.BENCHMARK["run_seconds"])
+    assert [argv[argv.index("--seconds") + 1] for argv in calls] == [seconds] * 2 * len(workloads)
+    for argv in (["--workload", "nope"], ["--workload", workloads[0], "--seconds", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main([str(tmp_path), str(tmp_path), *argv, "--seeds", "7"])
+        assert exc.value.code == 2

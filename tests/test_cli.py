@@ -256,8 +256,7 @@ def exit_code(argv):
     pytest.param("full-training", ["--stream-lr", "3"], "--stream-lr",
                  id="unread-full-training-stream-lr"),
 ])
-def test_bad_flag_is_usage_error_naming_the_flag(tmp_path, capsys, request, command, flags,
-                                                  named):
+def test_bad_flag_is_usage_error_naming_the_flag(tmp_path, capsys, command, flags, named):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("seeds = 1\nmomentum = 0.9\n")
     argv = [command, "--out", str(tmp_path / "out")]
@@ -269,8 +268,8 @@ def test_bad_flag_is_usage_error_naming_the_flag(tmp_path, capsys, request, comm
     assert exit_code(argv + [f.format(cfg=cfg) for f in flags]) == 2
     err = capsys.readouterr().err
     assert named in err
-    if request.node.callspec.id.startswith("unread-"):  # the subcommand's usage, not dynmem's
-        assert f"dynmem {command}" in err
+    if "usage:" in err:  # argparse's errors give the subcommand's usage, not dynmem's
+        assert f"usage: dynmem {command} " in err
 
 
 def test_continual_without_setting_flags_runs_the_default_config(workspace):

@@ -126,6 +126,14 @@ def test_insert_rejects_a_signature_of_another_tap_structure():
     assert not mem.grams[0][1:].any() and not mem.grams[1][1:].any()
 
 
+def test_search_rejects_a_signature_of_another_tap_structure():
+    mem = DynamicMemory(4)
+    fill_signatures(mem, [0, 0], [[np.eye(2), np.eye(3)], [np.ones((2, 2)), np.ones((3, 3))]])
+    for bad in ([np.eye(2)], [np.eye(2), np.eye(3), np.eye(1)], [np.eye(2), np.eye(4)]):
+        with pytest.raises(ShapeError, match="mismatched layer structure"):
+            mem.argmin_replacement_index(0, bad)
+
+
 def test_full_class_count_never_changes_again():
     rng = np.random.default_rng(1)
     mem = DynamicMemory(6)
@@ -284,3 +292,18 @@ def test_gram_distance_of_a_subset_of_rows_has_the_full_stack_bits():
     for rows in ([0], [159], [3, 77], np.arange(0, 160, 2), np.arange(17, 100)):
         subset = gram_distance(incoming, [s[rows] for s in stacks])
         assert subset.tobytes() == full[rows].tobytes()
+
+
+def test_screened_search_on_float32_signatures():
+    # stored and incoming in float32: rows 1e-3 apart around a common base,
+    # which squared norms rounded in float32 would not tell apart
+    rng = np.random.default_rng(11)
+    base = taps(rng, sizes=(8, 16))
+
+    def near():
+        return [(b + rng.standard_normal(b.shape) * 1e-3).astype(np.float32) for b in base]
+
+    mem = DynamicMemory(16)
+    fill_signatures(mem, [0, 1] * 8, [near() for _ in range(16)])
+    for _ in range(10):
+        assert_search_is_the_scan(mem, 0, near())

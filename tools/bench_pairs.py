@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Alternating pairs of perfbench runs on two checkouts, summarised as in a BENCH_*.json.
 
-    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seeds S [S ...] \
-        [--seconds 10]
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seeds S [S ...]
 
 For each seed, `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`
-runs from the root of each checkout, one side after the other: the parent first
+runs from the root of each checkout, with the workloads W and the run length T
+that BENCHMARK.json declares, one side after the other: the parent first
 in even pairs, the change first in odd ones, so a drift in the machine's speed
 falls on both sides alike. Standard output gets one JSON object, keyed by the
 seed range, with per end-to-end metric each side's median, quartiles (linear,
@@ -26,15 +26,15 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
-END_TO_END = [m["name"] for m in
-              json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
-              ["end_to_end"]]
+BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+END_TO_END = [m["name"] for m in BENCHMARK["end_to_end"]]
 
 
-def run_perfbench(root, workload, seed, seconds):
+def run_perfbench(root, workload, seed):
     """(metrics {name: value}, correct, failed commands) of one perfbench run in `root`."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(BENCHMARK["run_seconds"]),
+                           "--trace", "0"],
                           cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -75,9 +75,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="root of the parent commit's checkout")
     parser.add_argument("change", type=Path, help="root of the changed checkout")
-    parser.add_argument("--workload", required=True, choices=("base-ewc", "stream"))
+    parser.add_argument("--workload", required=True,
+                        choices=[w["name"] for w in BENCHMARK["workloads"]])
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=float, default=10.0)
     args = parser.parse_args(argv)
     roots = {"parent": args.parent, "change": args.change}
     for side, root in roots.items():
@@ -87,8 +87,7 @@ def main(argv=None):
     for i, seed in enumerate(args.seeds):
         pair = {"pair": i, "seed": seed, "first": SIDES[i % 2]}
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            metrics, correct, n_failed = run_perfbench(roots[side], args.workload, seed,
-                                                       args.seconds)
+            metrics, correct, n_failed = run_perfbench(roots[side], args.workload, seed)
             pair[side] = {name: round(metrics[name], 3) for name in END_TO_END}
             failed[side] += n_failed
             if not correct:

@@ -59,6 +59,7 @@ def _checked(convert, valid, what):
 
 
 COUNT = _checked(int, lambda v: v >= 1, "a positive integer")
+SEED = _checked(int, lambda v: v >= 0, "a non-negative integer")
 MEMORY_SIZE = _checked(int, lambda v: v >= 2 and v % 2 == 0, "an even integer >= 2")
 FINITE = _checked(float, math.isfinite, "a finite number")
 RAMP_FRACTION = _checked(float, lambda v: 0.0 <= v < 0.5, "a finite number in [0, 0.5)")
@@ -81,7 +82,7 @@ STREAM_SETTINGS = ("--batch", "--train-batch", "--stream-lr", "--probe-every")
 
 def _add_common(p):
     p.add_argument("--config", help="flat key = value config file (flags override)")
-    p.add_argument("--seed", type=int, default=ExperimentConfig.seed, help="first seed")
+    p.add_argument("--seed", type=SEED, default=ExperimentConfig.seed, help="first seed")
     p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
 
 

@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .validation import ConfigError, ShapeError, read_container, write_container
 
@@ -53,6 +52,10 @@ class CorpusConfig:
 
     def __post_init__(self):
         check_ramp_fraction(self.ramp_fraction)
+        fit = int(np.ceil(self.sprite_size * self.scale_max * np.sqrt(2)))  # see imprint_target
+        if self.image_size < fit:
+            raise ConfigError(f"--image-size {self.image_size} is too small for the target "
+                              f"sprite at its largest scale; the smallest that fits is {fit}")
 
     def config_hash(self):
         payload = json.dumps(asdict(self), sort_keys=True, default=list)
@@ -89,6 +92,7 @@ def _plus_sprite(size):
 
 def generate_background(modality, rng, cfg=CorpusConfig()):
     """One background image for the given modality ("smooth" | "sharp")."""
+    from scipy.ndimage import gaussian_filter  # here, so only generating loads scipy
     if modality == "smooth":
         blur, noise = cfg.smooth_blur, cfg.smooth_noise
     elif modality == "sharp":

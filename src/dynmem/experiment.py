@@ -47,6 +47,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.memory_size < 2:
             raise ConfigError("memory size M must be >= 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for name in ("n_seeds", "input_batch_size", "train_batch_size",
                      "base_epochs", "full_epochs", "probe_every"):
             if getattr(self, name) < 1:

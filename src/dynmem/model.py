@@ -20,8 +20,8 @@ from .validation import (ConfigError, DivergenceError, StateError, check_images,
 CHECKPOINT_MAGIC = b"DMCKPT1\n"
 CHECKPOINT_VERSION = 3  # 2: convs carry no bias; 3: five settings, no model_version
 FISHER_CHUNK = nn.CONV_BLOCK  # one conv block: backward reuses the forward's columns
-# images per forward when norm statistics are refit; the layers still cache the
-# previous block, and 64 keeps that below the peak of one 150-image probe
+# images per forward when norm statistics are refit; it fixes how the float64
+# sums are grouped, so another value changes the refit statistics' bits
 NORM_STATS_BLOCK = 64
 
 
@@ -129,10 +129,8 @@ class ConvNetClassifier:
         # frozen norm trains in eval mode; train_step drops its scale/shift grads
         return "train" if train and not self.norm_frozen else "eval"
 
-    def forward_with_taps(self, X, train=False):
-        """One forward pass returning (logits (N,), taps list of (N,C,H,W))."""
+    def _forward(self, X, mode):
         X = check_images(X, self.image_size).astype(self.dtype, copy=False)
-        mode = self._mode(train)
         taps = []
         out = X
         for i, layer in enumerate(self.layers):
@@ -141,9 +139,13 @@ class ConvNetClassifier:
                 taps.append(out)
         return out[:, 0], taps
 
+    def forward_with_taps(self, X, train=False):
+        """One forward pass returning (logits (N,), taps list of (N,C,H,W))."""
+        return self._forward(X, self._mode(train))
+
     def decision_function(self, X):
-        logits, _ = self.forward_with_taps(X, train=False)
-        return logits
+        """Eval-mode logits, from a forward that keeps no caches for `backward`."""
+        return self._forward(X, "infer")[0]
 
     def predict(self, X):
         """Label 1 iff sigmoid(logit) > 0.5 (strict; a zero logit maps to 0)."""
@@ -236,7 +238,7 @@ class ConvNetClassifier:
             count = 0
             for k, out in enumerate(blocks):
                 for layer in self.layers[start:i]:
-                    out = layer.forward(out, "eval")
+                    out = layer.forward(out, "infer")
                 total = total + out.sum(axis=(0, 2, 3), dtype=np.float64)
                 total_sq = total_sq + np.square(out).sum(axis=(0, 2, 3), dtype=np.float64)
                 count += out.size // out.shape[1]

@@ -9,7 +9,6 @@ fidelity.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .validation import ShapeError
 
@@ -119,6 +118,7 @@ class Layer:
             self.grads[name] = np.zeros_like(p)
 
     def forward(self, x, mode):
+        """mode: "train", "eval", or "infer" (eval, keeping nothing for `backward`)."""
         raise NotImplementedError
 
     def backward(self, grad_out, mode, sq_grads=None):
@@ -159,7 +159,7 @@ class Conv2d(Layer):
                 f"{self.params['weight'].shape}"
             )
         out, cols = _conv_forward(x, self.params["weight"], self.stride, self.padding)
-        self._cache = (x, cols)
+        self._cache = None if mode == "infer" else (x, cols)
         return out
 
     def backward(self, grad_out, mode, sq_grads=None):
@@ -178,7 +178,7 @@ class BatchNorm2d(Layer):
     """Per-channel batch normalization with train / eval modes.
 
     train: normalize by batch statistics, update running stats with momentum.
-    eval: normalize by running statistics.
+    eval, infer: normalize by running statistics.
     """
 
     def __init__(self, channels, dtype=np.float32):
@@ -200,9 +200,12 @@ class BatchNorm2d(Layer):
             mean = self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-        xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        self._cache = (xhat, inv_std)
-        return self.params["scale"][None, :, None, None] * xhat + self.params["shift"][None, :, None, None]
+        xhat = np.subtract(x, mean[None, :, None, None])
+        xhat *= inv_std[None, :, None, None]
+        self._cache = None if mode == "infer" else (xhat, inv_std)
+        out = self.params["scale"][None, :, None, None] * xhat
+        out += self.params["shift"][None, :, None, None]
+        return out
 
     def backward(self, grad_out, mode, sq_grads=None):
         xhat, inv_std = self._cache
@@ -226,8 +229,9 @@ class BatchNorm2d(Layer):
 
 class ReLU(Layer):
     def forward(self, x, mode):
-        self._cache = x > 0
-        return x * self._cache
+        positive = x > 0
+        self._cache = None if mode == "infer" else positive
+        return x * positive
 
     def backward(self, grad_out, mode, sq_grads=None):
         return grad_out * self._cache
@@ -279,7 +283,8 @@ def bce_loss(logit, label):
     z = np.asarray(logit, dtype=np.float64)
     y = np.asarray(label, dtype=np.float64)
     loss = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    grad = expit(z) - y
+    with np.errstate(over="ignore"):  # exp(-z) -> inf gives the limit 0
+        grad = 1.0 / (1.0 + np.exp(-z)) - y
     return loss, grad
 
 

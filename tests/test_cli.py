@@ -243,6 +243,11 @@ def exit_code(argv):
     pytest.param("generate", ["--eval-n", "0"], "--eval-n", id="eval-n-zero"),
     pytest.param("generate", ["--base-n", "-5"], "--base-n", id="base-n-negative"),
     pytest.param("generate", ["--image-size", "0"], "--image-size", id="image-size-zero"),
+    pytest.param("generate", ["--seed", "-1"], "--seed", id="seed-negative-generate"),
+    pytest.param("train-base", ["--seed", "-1"], "--seed", id="seed-negative-train-base"),
+    pytest.param("full-training", ["--seed", "-1"], "--seed", id="seed-negative-full-training"),
+    pytest.param("continual", ["--seed", "-3"], "--seed", id="seed-negative-continual"),
+    pytest.param("continual", ["--config={seed_cfg}"], "--seed", id="config-seed-negative"),
     # a flag of another subcommand, which this one does not read
     pytest.param("generate", ["--seeds", "3"], "--seeds", id="unread-generate-seeds"),
     pytest.param("train-base", ["--batch", "3"], "--batch", id="unread-train-base-batch"),
@@ -257,15 +262,16 @@ def exit_code(argv):
                  id="unread-full-training-stream-lr"),
 ])
 def test_bad_flag_is_usage_error_naming_the_flag(tmp_path, capsys, command, flags, named):
-    cfg = tmp_path / "bad.cfg"
+    cfg, seed_cfg = tmp_path / "bad.cfg", tmp_path / "seed.cfg"
     cfg.write_text("seeds = 1\nmomentum = 0.9\n")
+    seed_cfg.write_text("seed = -1\n")
     argv = [command, "--out", str(tmp_path / "out")]
     if command != "generate":
         argv += ["--corpus", str(tmp_path / "corpus")]
     if command == "continual":
         argv += ["--strategy", "dm"]
     capsys.readouterr()
-    assert exit_code(argv + [f.format(cfg=cfg) for f in flags]) == 2
+    assert exit_code(argv + [f.format(cfg=cfg, seed_cfg=seed_cfg) for f in flags]) == 2
     err = capsys.readouterr().err
     assert named in err
     if "usage:" in err:  # argparse's errors give the subcommand's usage, not dynmem's
@@ -385,6 +391,33 @@ def test_checkpoint_of_another_image_size_is_runtime_error_naming_both(workspace
     err = capsys.readouterr().err
     assert str(base / "base_seed0.ckpt") in err and str(corpus) in err
     assert "16-pixel" in err and "32-pixel" in err
+
+
+def test_image_size_too_small_for_the_sprite_is_runtime_error_naming_the_minimum(tmp_path,
+                                                                                 capsys):
+    out = tmp_path / "corpus"
+    capsys.readouterr()
+    assert main(["generate", "--out", str(out), "--image-size", "14"]) == 1
+    err = capsys.readouterr().err
+    assert "--image-size 14" in err and "smallest that fits is 15" in err
+    assert not out.exists()
+
+
+def test_cli_imports_no_scipy_until_generate(tmp_path):
+    """Only the corpus generator needs scipy: importing the driver loads none
+    of it, and `generate` loads it on demand."""
+    script = (
+        "import sys\n"
+        "from dynmem.cli import main\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"code = main(['generate', '--out', {str(tmp_path / 'corpus')!r}, '--base-n', '4',\n"
+        "             '--cont-a', '4', '--cont-b', '4', '--cont-c', '4', '--eval-n', '2'])\n"
+        "print(code, 'scipy.ndimage' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(Path(dynmem.__file__).parents[1])))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "0 True"]
+    assert (tmp_path / "corpus" / "manifest.json").exists()
 
 
 def cli(log, *args, **popen):

@@ -110,9 +110,21 @@ def test_imprint_unknown_polarity_raises():
 
 
 def test_imprint_oversized_sprite_raises():
-    cfg = CorpusConfig(image_size=8, sprite_size=7, scale_min=1.5, scale_max=1.5)
+    # footprint ceil(7 * 1.5 * sqrt(2)) = 15 on an image smaller than the config's
+    cfg = CorpusConfig(scale_min=1.5, scale_max=1.5)
     with pytest.raises(ShapeError):
-        imprint_target(np.zeros((8, 8)), "high", np.random.default_rng(0), cfg)
+        imprint_target(np.zeros((14, 14)), "high", np.random.default_rng(0), cfg)
+
+
+def test_image_size_below_the_sprite_footprint_is_rejected():
+    """The largest rotated sprite needs ceil(7 * 1.5 * sqrt(2)) = 15 pixels at
+    the defaults; a smaller image is refused before any sample is drawn."""
+    with pytest.raises(ConfigError, match="--image-size 14 .* smallest that fits is 15"):
+        CorpusConfig(image_size=14)
+    with pytest.raises(ConfigError, match="smallest that fits is 22"):
+        CorpusConfig(image_size=21, scale_max=2.2)
+    cfg = CorpusConfig(image_size=15, base_count=4, continuous_counts=(4, 4, 4), eval_count=2)
+    assert build_corpus(cfg, seed=0).base.images.shape == (4, 1, 15, 15)
 
 
 @pytest.mark.parametrize("task", TASKS)

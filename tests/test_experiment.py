@@ -47,6 +47,12 @@ def test_config_rejects_tiny_memory():
         ExperimentConfig(memory_size=1)
 
 
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        ExperimentConfig(seed=-1)
+    assert ExperimentConfig(seed=0).seeds()[0] == 0
+
+
 def test_config_seed_list_and_hash_stability():
     cfg = ExperimentConfig(seed=10, n_seeds=3)
     assert cfg.seeds() == [10, 11, 12]

@@ -189,6 +189,43 @@ def test_fisher_single_example_equals_squared_gradient(small_model, images16):
         np.testing.assert_allclose(fisher[n], g.astype(np.float64) ** 2, rtol=1e-5)
 
 
+def cached_layers(model):
+    """Names of the conv, norm and ReLU layers holding a cache for `backward`."""
+    return [name for name, layer in zip(model.layer_names, model.layers)
+            if isinstance(layer, (nn.Conv2d, nn.BatchNorm2d, nn.ReLU))
+            and layer._cache is not None]
+
+
+@pytest.mark.parametrize("call", ["predict", "decision_function"])
+def test_eval_only_forwards_leave_no_caches(small_model, images16, call):
+    small_model.forward_with_taps(images16, train=False)  # caches kept for a backward
+    assert len(cached_layers(small_model)) == 24
+    getattr(small_model, call)(images16)
+    assert cached_layers(small_model) == []
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 8, 150])
+def test_cache_free_logits_have_the_bits_of_the_eval_forward(dtype, n):
+    model = ConvNetClassifier(dtype=dtype, random_state=4)
+    X = np.random.default_rng(n).random((n, 1, 32, 32)).astype(dtype)
+    model.fit_norm_statistics(X)
+    expected, _ = model.forward_with_taps(X, train=False)
+    logits = model.decision_function(X)
+    assert logits.dtype == expected.dtype and logits.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(model.predict(X), (expected > 0).astype(np.int64))
+
+
+def test_fisher_after_a_predict_equals_fisher_before_it(small_model, images16):
+    y = np.array([0, 1] * 3)
+    before = small_model.fisher_diagonal(images16, y)
+    small_model.predict(images16[::-1])
+    after = small_model.fisher_diagonal(images16, y)
+    assert set(after) == set(before)
+    for name, f in before.items():
+        assert after[name].tobytes() == f.tobytes(), name
+
+
 def fisher_by_single_examples(model, X, y):
     """Fisher oracle: one eval-mode forward/backward per example."""
     fisher = {n: np.zeros(p.shape) for n, p in model.named_params().items()}

@@ -1,6 +1,8 @@
 """Tests for the differentiable-layer kernel: convolution, batch norm,
 pooling, dense, binary cross entropy, Adam and the finite-difference checker.
 """
+import warnings
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,28 @@ def test_bn_eval_mode_uses_running_stats_and_leaves_them_alone():
     assert layer.running_mean[0] == 2.0 and layer.running_var[0] == 4.0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["train", "eval", "infer"])
+def test_bn_forward_has_the_bits_of_the_out_of_place_formula(dtype, mode):
+    rng = np.random.default_rng(9)
+    layer = nn.BatchNorm2d(3, dtype=dtype)
+    layer.params["scale"][:] = rng.uniform(0.5, 1.5, 3)
+    layer.params["shift"][:] = rng.normal(size=3)
+    layer.running_mean[:] = rng.normal(size=3)
+    layer.running_var[:] = rng.uniform(0.5, 2.0, 3)
+    x = rng.normal(size=(5, 3, 4, 4)).astype(dtype)
+    c = (slice(None), None, None)  # a channel vector as (C, 1, 1)
+    if mode == "train":
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    else:
+        mean, var = layer.running_mean.copy(), layer.running_var.copy()
+    inv_std = 1.0 / np.sqrt(var + nn.BN_EPSILON)
+    expected = layer.params["scale"][c] * ((x - mean[c]) * inv_std[c]) + layer.params["shift"][c]
+    out = layer.forward(x, mode)
+    assert out.dtype == expected.dtype and out.tobytes() == expected.tobytes()
+    assert (layer._cache is None) == (mode == "infer")
+
+
 def test_bn_zero_variance_never_divides_by_zero():
     layer = nn.BatchNorm2d(1, dtype=np.float64)
     out = layer.forward(np.zeros((2, 1, 2, 2)), "train")
@@ -310,6 +334,28 @@ def test_bce_nonnegative_on_random_inputs():
     assert np.all(loss >= 0.0)
     # gradient is sigmoid(z) - y, always in (-1, 1)
     assert np.all(np.abs(grad) < 1.0)
+
+
+def test_bce_gradient_equals_expit_after_float32_rounding():
+    """The gradient is used only after rounding to float32 (model.backward,
+    fisher_diagonal); there it must equal scipy's expit(z) - y."""
+    expit = pytest.importorskip("scipy.special").expit
+    rng = np.random.default_rng(13)
+    z = np.concatenate([rng.standard_normal(100_000) * scale for scale in (1, 5, 20, 200)]
+                       + [np.linspace(-800, 800, 20_001), [0.0, -0.0, 1e4, -1e4]])
+    y = rng.integers(0, 2, len(z))
+    _, grad = nn.bce_loss(z, y)
+    np.testing.assert_array_equal(grad.astype(np.float32), (expit(z) - y).astype(np.float32))
+
+
+def test_bce_at_extreme_logits_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (1e4, -1e4):
+            for y in (0, 1):
+                _, grad = nn.bce_loss(z, y)
+                assert grad == (1.0 if z > 0 else 0.0) - y
+        nn.bce_loss(np.array([1e4, -1e4]), np.array([1, 0]))
 
 
 # -- Adam ------------------------------------------------------------------

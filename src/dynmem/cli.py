@@ -30,8 +30,12 @@ def _read_config_file(path):
     """Flat `key = value` config file as flag tokens: each key is a flag of
     the subcommand without its dashes, `key = true` / `key = false` sets or
     omits a bare flag, and a value of several words gives several arguments."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
     tokens = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -61,7 +65,8 @@ def _checked(convert, valid, what):
 COUNT = _checked(int, lambda v: v >= 1, "a positive integer")
 SEED = _checked(int, lambda v: v >= 0, "a non-negative integer")
 MEMORY_SIZE = _checked(int, lambda v: v >= 2 and v % 2 == 0, "an even integer >= 2")
-FINITE = _checked(float, math.isfinite, "a finite number")
+RATE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+WEIGHT = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 RAMP_FRACTION = _checked(float, lambda v: 0.0 <= v < 0.5, "a finite number in [0, 0.5)")
 
 # flag: (the ExperimentConfig field it sets, type, help); each default is the field's
@@ -69,12 +74,12 @@ SETTINGS = {
     "--seeds": ("n_seeds", COUNT, "number of seeded repetitions"),
     "--batch": ("input_batch_size", COUNT, "input-mini-batch size B"),
     "--train-batch": ("train_batch_size", COUNT, "training-mini-batch size T"),
-    "--lr": ("learning_rate", FINITE, "learning rate for base and full training"),
-    "--stream-lr": ("stream_learning_rate", FINITE, "learning rate for the stream phase"),
+    "--lr": ("learning_rate", RATE, "learning rate for base and full training"),
+    "--stream-lr": ("stream_learning_rate", RATE, "learning rate for the stream phase"),
     "--base-epochs": ("base_epochs", COUNT, "base training epochs"),
     "--full-epochs": ("full_epochs", COUNT, "full training epochs"),
     "--probe-every": ("probe_every", COUNT, "steps between validation probes"),
-    "--lambda": ("ewc_lambda", FINITE, "EWC penalty weight"),
+    "--lambda": ("ewc_lambda", WEIGHT, "EWC penalty weight"),
     "--memory": ("memory_size", MEMORY_SIZE, "memory size M"),
 }
 STREAM_SETTINGS = ("--batch", "--train-batch", "--stream-lr", "--probe-every")

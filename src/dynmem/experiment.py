@@ -45,14 +45,19 @@ class ExperimentConfig:
     recompute_signatures: bool = False
 
     def __post_init__(self):
-        if self.memory_size < 2:
-            raise ConfigError("memory size M must be >= 2")
+        if self.memory_size < 2 or self.memory_size % 2:
+            raise ConfigError(f"memory size M must be an even integer >= 2, got {self.memory_size}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for name in ("n_seeds", "input_batch_size", "train_batch_size",
                      "base_epochs", "full_epochs", "probe_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
+        for name in ("learning_rate", "stream_learning_rate"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0 <= self.ewc_lambda < np.inf:
+            raise ConfigError(f"ewc_lambda must be non-negative and finite, got {self.ewc_lambda}")
 
     def seeds(self):
         return list(range(self.seed, self.seed + self.n_seeds))

@@ -37,6 +37,8 @@ class ConvNetClassifier:
                  dtype=np.float32, random_state=0):
         self.image_size = image_size
         self.channels = tuple(channels)
+        if not (self.channels and all(isinstance(c, int) and c > 0 for c in self.channels)):
+            raise ConfigError(f"channels must be one or more positive integers, got {channels!r}")
         self.learning_rate = learning_rate
         self.dtype = np.dtype(dtype).type
         self.random_state = random_state
@@ -44,7 +46,7 @@ class ConvNetClassifier:
         self.norm_frozen = False
         self._anchor = None
         self._fisher = None
-        self.optimizer = self._new_optimizer()
+        self.reset_optimizer()
 
     # -- construction ------------------------------------------------------
 
@@ -71,11 +73,8 @@ class ConvNetClassifier:
         self.layers.append(nn.Dense(self.channels[-1], 1, rng=rng, dtype=dtype))
         self.layer_names.append("head")
 
-    def _new_optimizer(self):
-        return nn.Adam(self.named_params(), learning_rate=self.learning_rate)
-
     def reset_optimizer(self):
-        self.optimizer = self._new_optimizer()
+        self.optimizer = nn.Adam(self.named_params(), learning_rate=self.learning_rate)
 
     def get_params(self):
         return {"image_size": self.image_size, "channels": self.channels,
@@ -93,14 +92,6 @@ class ConvNetClassifier:
 
     def named_grads(self):
         return self._named("grads")
-
-    @property
-    def n_params(self):
-        return sum(p.size for p in self.named_params().values())
-
-    def zero_grads(self):
-        for layer in self.layers:
-            layer.zero_grads()
 
     def running_stats(self):
         out = {}
@@ -125,10 +116,6 @@ class ConvNetClassifier:
 
     # -- forward / backward ------------------------------------------------
 
-    def _mode(self, train):
-        # frozen norm trains in eval mode; train_step drops its scale/shift grads
-        return "train" if train and not self.norm_frozen else "eval"
-
     def _forward(self, X, mode):
         X = check_images(X, self.image_size).astype(self.dtype, copy=False)
         taps = []
@@ -141,7 +128,8 @@ class ConvNetClassifier:
 
     def forward_with_taps(self, X, train=False):
         """One forward pass returning (logits (N,), taps list of (N,C,H,W))."""
-        return self._forward(X, self._mode(train))
+        # frozen norm trains in eval mode; train_step drops its scale/shift grads
+        return self._forward(X, "train" if train and not self.norm_frozen else "eval")
 
     def decision_function(self, X):
         """Eval-mode logits, from a forward that keeps no caches for `backward`."""
@@ -151,12 +139,12 @@ class ConvNetClassifier:
         """Label 1 iff sigmoid(logit) > 0.5 (strict; a zero logit maps to 0)."""
         return (self.decision_function(X) > 0).astype(np.int64)
 
-    def backward(self, dlogits, train=True):
-        """Backpropagate d(loss)/d(logits); accumulates into layer grads."""
-        mode = self._mode(train)
+    def backward(self, dlogits):
+        """Backpropagate d(loss)/d(logits) through the last `forward_with_taps`,
+        in its mode; sets the layer grads."""
         grad = np.asarray(dlogits, dtype=self.dtype)[:, None]
         for layer in reversed(self.layers):
-            grad = layer.backward(grad, mode)
+            grad = layer.backward(grad)
         return grad
 
     # -- training ----------------------------------------------------------
@@ -169,10 +157,9 @@ class ConvNetClassifier:
         """
         X = check_images(X, self.image_size)
         y = check_labels(y, X.shape[0])
-        self.zero_grads()
         logits, _ = self.forward_with_taps(X, train=True)
         losses, dlogits = nn.bce_loss(logits, y)
-        self.backward(dlogits / len(y), train=True)
+        self.backward(dlogits / len(y))
         grads = self.named_grads()
         if penalty_grads:
             for name, g in penalty_grads.items():
@@ -273,7 +260,7 @@ class ConvNetClassifier:
             _, dlogits = nn.bce_loss(logits, y[rows])
             grad = dlogits.astype(self.dtype)[:, None]
             for layer, sq in zip(reversed(self.layers), reversed(sums)):
-                grad = layer.backward(grad, "eval", sq)
+                grad = layer.backward(grad, sq)
         self._fisher = {f"{lname}.{name}": (f / len(y)).astype(self.dtype)
                         for lname, layer_sums in zip(self.layer_names, sums)
                         for name, f in layer_sums.items()}

@@ -113,19 +113,16 @@ class Layer:
         self.grads = {}
         self._cache = None
 
-    def zero_grads(self):
-        for name, p in self.params.items():
-            self.grads[name] = np.zeros_like(p)
-
     def forward(self, x, mode):
-        """mode: "train", "eval", or "infer" (eval, keeping nothing for `backward`)."""
+        """mode: "train", "eval", or "infer" (eval; conv, norm and ReLU keep
+        nothing for `backward`, pool and dense still keep their small caches)."""
         raise NotImplementedError
 
-    def backward(self, grad_out, mode, sq_grads=None):
-        """Gradient with respect to the input. Parameter gradients are summed
-        over the batch into `grads`; when `sq_grads` (a dict of float64 arrays,
-        one per parameter) is given, each example's squared parameter gradient
-        is added to it instead."""
+    def backward(self, grad_out, sq_grads=None):
+        """Gradient with respect to the input, in the mode of the last forward
+        that kept a cache. Parameter gradients, summed over the batch, replace
+        `grads`; when `sq_grads` (a dict of float64 arrays, one per parameter)
+        is given, each example's squared parameter gradient is added to it instead."""
         raise NotImplementedError
 
 
@@ -139,9 +136,6 @@ class Conv2d(Layer):
         super().__init__()
         if kernel_size % 2 != 1:
             raise ShapeError(f"kernel must have odd size, got {kernel_size}")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
         rng = rng or np.random.default_rng()
@@ -150,10 +144,9 @@ class Conv2d(Layer):
         self.params["weight"] = (
             rng.standard_normal((out_channels, in_channels, kernel_size, kernel_size)) * scale
         ).astype(dtype)
-        self.zero_grads()
 
     def forward(self, x, mode):
-        if x.shape[1] != self.in_channels:
+        if x.shape[1] != self.params["weight"].shape[1]:
             raise ShapeError(
                 f"input channels {x.shape} do not match kernel channels "
                 f"{self.params['weight'].shape}"
@@ -162,13 +155,13 @@ class Conv2d(Layer):
         self._cache = None if mode == "infer" else (x, cols)
         return out
 
-    def backward(self, grad_out, mode, sq_grads=None):
+    def backward(self, grad_out, sq_grads=None):
         x, cols = self._cache
         self._cache = None  # the float64 columns are the largest cache: free them once used
         dx, dw = _conv_backward(x, cols, self.params["weight"], grad_out, self.stride,
                                 self.padding, per_example=sq_grads is not None)
         if sq_grads is None:
-            self.grads["weight"] += dw
+            self.grads["weight"] = dw.astype(self.params["weight"].dtype)
         else:
             sq_grads["weight"] += np.square(dw).sum(axis=0)
         return dx
@@ -183,12 +176,10 @@ class BatchNorm2d(Layer):
 
     def __init__(self, channels, dtype=np.float32):
         super().__init__()
-        self.channels = channels
         self.params["scale"] = np.ones(channels, dtype=dtype)
         self.params["shift"] = np.zeros(channels, dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.zero_grads()
 
     def forward(self, x, mode):
         if mode == "train":
@@ -202,22 +193,22 @@ class BatchNorm2d(Layer):
         inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat = np.subtract(x, mean[None, :, None, None])
         xhat *= inv_std[None, :, None, None]
-        self._cache = None if mode == "infer" else (xhat, inv_std)
+        self._cache = None if mode == "infer" else (xhat, inv_std, mode == "train")
         out = self.params["scale"][None, :, None, None] * xhat
         out += self.params["shift"][None, :, None, None]
         return out
 
-    def backward(self, grad_out, mode, sq_grads=None):
-        xhat, inv_std = self._cache
+    def backward(self, grad_out, sq_grads=None):
+        xhat, inv_std, train = self._cache
         if sq_grads is None:
-            self.grads["scale"] += (grad_out * xhat).sum(axis=(0, 2, 3))
-            self.grads["shift"] += grad_out.sum(axis=(0, 2, 3))
+            self.grads["scale"] = (grad_out * xhat).sum(axis=(0, 2, 3))
+            self.grads["shift"] = grad_out.sum(axis=(0, 2, 3))
         else:
             sq_grads["scale"] += np.square((grad_out * xhat).sum(axis=(2, 3)),
                                            dtype=np.float64).sum(axis=0)
             sq_grads["shift"] += np.square(grad_out.sum(axis=(2, 3)), dtype=np.float64).sum(axis=0)
         g = grad_out * self.params["scale"][None, :, None, None]
-        if mode == "train":
+        if train:
             m = grad_out.shape[0] * grad_out.shape[2] * grad_out.shape[3]
             sum_g = g.sum(axis=(0, 2, 3), keepdims=True)
             sum_gx = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
@@ -233,7 +224,7 @@ class ReLU(Layer):
         self._cache = None if mode == "infer" else positive
         return x * positive
 
-    def backward(self, grad_out, mode, sq_grads=None):
+    def backward(self, grad_out, sq_grads=None):
         return grad_out * self._cache
 
 
@@ -244,7 +235,7 @@ class GlobalAvgPool(Layer):
         self._cache = x.shape
         return x.mean(axis=(2, 3))
 
-    def backward(self, grad_out, mode, sq_grads=None):
+    def backward(self, grad_out, sq_grads=None):
         n, c, h, w = self._cache
         return np.broadcast_to(grad_out[:, :, None, None], (n, c, h, w)) / (h * w)
 
@@ -256,17 +247,16 @@ class Dense(Layer):
         scale = np.sqrt(2.0 / in_features)
         self.params["weight"] = (rng.standard_normal((in_features, out_features)) * scale).astype(dtype)
         self.params["bias"] = np.zeros(out_features, dtype=dtype)
-        self.zero_grads()
 
     def forward(self, x, mode):
         self._cache = x
         return x @ self.params["weight"] + self.params["bias"]
 
-    def backward(self, grad_out, mode, sq_grads=None):
+    def backward(self, grad_out, sq_grads=None):
         x = self._cache
         if sq_grads is None:
-            self.grads["weight"] += x.T @ grad_out
-            self.grads["bias"] += grad_out.sum(axis=0)
+            self.grads["weight"] = x.T @ grad_out
+            self.grads["bias"] = grad_out.sum(axis=0)
         else:  # example n's weight gradient is outer(x_n, g_n)
             g2 = np.square(grad_out, dtype=np.float64)
             sq_grads["weight"] += np.square(x, dtype=np.float64).T @ g2

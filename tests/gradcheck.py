@@ -59,10 +59,9 @@ def gradient_check(model, X, y, n_coords=50, h=1e-5, rng=None):
         return float(losses.mean())
 
     loss_fn()
-    m.zero_grads()
     logits, _ = m.forward_with_taps(X, train=True)
     _, dlogits = nn.bce_loss(logits, y)
-    m.backward(dlogits / len(y), train=True)
+    m.backward(dlogits / len(y))
     analytic = m.named_grads()
     for n, s in m.running_stats().items():
         s[...] = stats[n]

@@ -180,8 +180,16 @@ def widen_dtype(header):
     header["hyper"]["dtype"] = "float64"  # the arrays stay float32
 
 
+def no_channels(header):
+    header["hyper"]["channels"] = []
+
+
+def zero_first_channels(header):
+    header["hyper"]["channels"] = [0, 2, 2, 2]
+
+
 @pytest.mark.parametrize("edit", [drop_hyper, add_unknown_hyper, halve_first_channels,
-                                  widen_dtype])
+                                  widen_dtype, no_channels, zero_first_channels])
 def test_checkpoint_header_not_matching_a_model_is_runtime_error_naming_the_file(
         workspace, tmp_path, capsys, edit):
     corpus, out = workspace
@@ -197,7 +205,8 @@ def test_checkpoint_header_not_matching_a_model_is_runtime_error_naming_the_file
     capsys.readouterr()
     assert run_continual(corpus, tmp_path / "res", "--strategy", "naive",
                          "--base", str(bad)) == 1
-    assert str(bad / "base_seed0.ckpt") in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(bad / "base_seed0.ckpt") in err and "Traceback" not in err
 
 
 def test_diverging_fit_is_runtime_error_naming_the_epoch(workspace, tmp_path):
@@ -248,6 +257,11 @@ def exit_code(argv):
     pytest.param("full-training", ["--seed", "-1"], "--seed", id="seed-negative-full-training"),
     pytest.param("continual", ["--seed", "-3"], "--seed", id="seed-negative-continual"),
     pytest.param("continual", ["--config={seed_cfg}"], "--seed", id="config-seed-negative"),
+    pytest.param("generate", ["--config={binary_cfg}"], "binary.cfg", id="config-not-utf8"),
+    pytest.param("continual", ["--stream-lr", "-0.01"], "--stream-lr", id="stream-lr-negative"),
+    pytest.param("train-base", ["--lr", "0"], "--lr", id="lr-zero"),
+    pytest.param("full-training", ["--lr", "-0.001"], "--lr", id="lr-negative"),
+    pytest.param("continual", ["--lambda", "-1"], "--lambda", id="lambda-negative"),
     # a flag of another subcommand, which this one does not read
     pytest.param("generate", ["--seeds", "3"], "--seeds", id="unread-generate-seeds"),
     pytest.param("train-base", ["--batch", "3"], "--batch", id="unread-train-base-batch"),
@@ -263,19 +277,30 @@ def exit_code(argv):
 ])
 def test_bad_flag_is_usage_error_naming_the_flag(tmp_path, capsys, command, flags, named):
     cfg, seed_cfg = tmp_path / "bad.cfg", tmp_path / "seed.cfg"
+    binary_cfg = tmp_path / "binary.cfg"
     cfg.write_text("seeds = 1\nmomentum = 0.9\n")
     seed_cfg.write_text("seed = -1\n")
+    binary_cfg.write_bytes(b"\xff\xfe\x00bad")
     argv = [command, "--out", str(tmp_path / "out")]
     if command != "generate":
         argv += ["--corpus", str(tmp_path / "corpus")]
     if command == "continual":
         argv += ["--strategy", "dm"]
     capsys.readouterr()
-    assert exit_code(argv + [f.format(cfg=cfg, seed_cfg=seed_cfg) for f in flags]) == 2
+    assert exit_code(argv + [f.format(cfg=cfg, seed_cfg=seed_cfg, binary_cfg=binary_cfg)
+                             for f in flags]) == 2
     err = capsys.readouterr().err
-    assert named in err
+    assert named in err and "Traceback" not in err
     if "usage:" in err:  # argparse's errors give the subcommand's usage, not dynmem's
         assert f"usage: dynmem {command} " in err
+
+
+def test_zero_penalty_weight_is_a_valid_flag(workspace):
+    # --lambda 0 turns the EWC penalty off
+    corpus, _ = workspace
+    args = build_parser().parse_args(["continual", "--corpus", str(corpus), "--strategy", "ewc",
+                                      "--lambda", "0"])
+    assert _config_and_corpus(args)[0].ewc_lambda == 0.0
 
 
 def test_continual_without_setting_flags_runs_the_default_config(workspace):

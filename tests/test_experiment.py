@@ -47,6 +47,20 @@ def test_config_rejects_tiny_memory():
         ExperimentConfig(memory_size=1)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("memory_size", 33, "memory size M must be an even integer >= 2, got 33"),
+    ("learning_rate", 0.0, "learning_rate must be positive and finite, got 0.0"),
+    ("learning_rate", float("inf"), "learning_rate must be positive and finite, got inf"),
+    ("stream_learning_rate", -0.01, "stream_learning_rate must be positive and finite"),
+    ("stream_learning_rate", float("nan"), "stream_learning_rate must be positive and finite"),
+    ("ewc_lambda", -1.0, "ewc_lambda must be non-negative and finite, got -1.0"),
+    ("ewc_lambda", float("nan"), "ewc_lambda must be non-negative and finite"),
+])
+def test_config_rejects_nonsensical_rates_weights_and_memory_sizes(field, value, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ExperimentConfig(**{field: value})
+
+
 def test_config_rejects_a_negative_seed():
     with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
         ExperimentConfig(seed=-1)

@@ -27,7 +27,7 @@ def test_default_architecture_parameter_count():
     model = ConvNetClassifier()
     # fixed and documented: 4 blocks of 8/16/32/64 channels plus the head;
     # the convs are bias-free, 2*(8+16+32+64) = 240 fewer than with biases
-    assert model.n_params == 73769
+    assert sum(p.size for p in model.named_params().values()) == 73769
 
 
 def test_every_parameter_gets_a_live_train_mode_gradient():
@@ -38,10 +38,9 @@ def test_every_parameter_gets_a_live_train_mode_gradient():
     rng = np.random.default_rng(6)
     X = rng.random((8, 1, 32, 32))
     y = np.array([0, 1] * 4)
-    model.zero_grads()
     logits, _ = model.forward_with_taps(X, train=True)
     _, dlogits = nn.bce_loss(logits, y)
-    model.backward(dlogits / len(y), train=True)
+    model.backward(dlogits / len(y))
     peak = {n: float(np.abs(g).max()) for n, g in model.named_grads().items()}
     weakest = min(peak, key=peak.get)
     assert peak[weakest] > 1e-6, (weakest, peak[weakest])
@@ -143,6 +142,12 @@ def test_fit_raises_at_the_first_non_finite_loss(small_model, images16):
         small_model.fit(images16, np.array([0, 1, 0, 1, 0, 1]), epochs=3, batch_size=2)
 
 
+@pytest.mark.parametrize("channels", [(), (0, 2, 2, 2), (2, -1, 2, 2), (2.5, 2, 2, 2), "8"])
+def test_channels_must_be_a_non_empty_sequence_of_positive_integers(channels):
+    with pytest.raises(ConfigError, match="channels must be one or more positive integers"):
+        ConvNetClassifier(image_size=16, channels=channels)
+
+
 def test_frozen_norm_blocks_stats_and_affine_updates(small_model, images16):
     y = np.array([0, 1, 0, 1, 0, 1])
     small_model.train_step(images16, y)  # move running stats off the init values
@@ -157,6 +162,29 @@ def test_frozen_norm_blocks_stats_and_affine_updates(small_model, images16):
     for n, p in small_model.named_params().items():
         if ".norm" in n:
             np.testing.assert_array_equal(p, norm_params[n])
+
+
+def test_frozen_norm_train_step_steps_with_the_eval_formula_gradient(small_model, images16):
+    # a frozen norm's forward uses its running statistics, and its backward
+    # the matching formula, with no mode passed to it
+    y = np.array([0, 1, 0, 1, 0, 1])
+    small_model.train_step(images16, y)  # move running stats off the init values
+    small_model.norm_frozen = True
+    reference, batch_formula = small_model.clone(), small_model.clone()
+    for model, train_formula in ((reference, False), (batch_formula, True)):
+        logits, _ = model.forward_with_taps(images16, train=False)
+        for layer in model.layers:
+            if isinstance(layer, nn.BatchNorm2d):
+                assert layer._cache[2] is False
+                layer._cache = (*layer._cache[:2], train_formula)
+        _, dlogits = nn.bce_loss(logits, y)
+        model.backward(dlogits / len(y))
+        model.optimizer.step({n: g for n, g in model.named_grads().items() if ".norm" not in n})
+    small_model.train_step(images16, y)
+    params = small_model.named_params()
+    assert all(p.tobytes() == params[n].tobytes() for n, p in reference.named_params().items())
+    assert any(p.tobytes() != params[n].tobytes()
+               for n, p in batch_formula.named_params().items())
 
 
 def test_clone_is_independent(small_model, images16):
@@ -181,10 +209,9 @@ def test_fisher_entries_nonnegative_and_exclude_running_stats(small_model, image
 def test_fisher_single_example_equals_squared_gradient(small_model, images16):
     y = np.array([1])
     fisher = small_model.fisher_diagonal(images16[:1], y)
-    small_model.zero_grads()
     logits, _ = small_model.forward_with_taps(images16[:1], train=False)
     _, dlogit = nn.bce_loss(logits, y)
-    small_model.backward(dlogit, train=False)
+    small_model.backward(dlogit)
     for n, g in small_model.named_grads().items():
         np.testing.assert_allclose(fisher[n], g.astype(np.float64) ** 2, rtol=1e-5)
 
@@ -230,10 +257,9 @@ def fisher_by_single_examples(model, X, y):
     """Fisher oracle: one eval-mode forward/backward per example."""
     fisher = {n: np.zeros(p.shape) for n, p in model.named_params().items()}
     for i in range(len(y)):
-        model.zero_grads()
         logits, _ = model.forward_with_taps(X[i : i + 1], train=False)
         _, dlogit = nn.bce_loss(logits, y[i : i + 1])
-        model.backward(dlogit, train=False)
+        model.backward(dlogit)
         for n, g in model.named_grads().items():
             fisher[n] += g.astype(np.float64) ** 2
     return {n: f / len(y) for n, f in fisher.items()}

@@ -108,8 +108,7 @@ def test_conv_forward_and_backward_match_bruteforce_on_model_shapes(c_in, c_out,
     out = layer.forward(x, "train")
     np.testing.assert_allclose(out, conv_reference(x, w, stride, 1), rtol=1e-12, atol=1e-12)
     grad_out = rng.standard_normal(out.shape)
-    layer.zero_grads()
-    dx = layer.backward(grad_out, "train")
+    dx = layer.backward(grad_out)
     dx_ref, dw_ref = conv_backward_reference(x, w, grad_out, stride, 1)
     np.testing.assert_allclose(dx, dx_ref, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(layer.grads["weight"], dw_ref, rtol=1e-12, atol=1e-12)
@@ -124,7 +123,7 @@ def test_float32_conv_output_and_weight_gradient_are_rounded_once():
         layer = nn.Conv2d(c_in, c_out, 3, stride=stride, padding=1, rng=rng)
         out = layer.forward(x, "train")
         grad_out = rng.standard_normal(out.shape).astype(np.float32)
-        layer.backward(grad_out, "train")
+        layer.backward(grad_out)
         w = layer.params["weight"].astype(np.float64)
         exact_out = conv_reference(x.astype(np.float64), w, stride, 1)
         _, exact_dw = conv_backward_reference(x.astype(np.float64), w,
@@ -168,9 +167,8 @@ def test_conv_layer_backward_matches_finite_differences():
     def loss_fn():
         return float(np.sum((layer.forward(x, "train") - target) ** 2))
 
-    layer.zero_grads()
     grad_out = 2.0 * (layer.forward(x, "train") - target)
-    layer.backward(grad_out, "train")
+    layer.backward(grad_out)
     err = finite_diff_check(loss_fn, layer.params, layer.grads,
                                n_coords=30, rng=np.random.default_rng(5))
     assert err < 1e-6
@@ -254,13 +252,69 @@ def test_bn_train_backward_matches_finite_differences():
         layer.running_mean[:], layer.running_var[:] = stats
         return float(np.sum((layer.forward(x, "train") - target) ** 2))
 
-    layer.zero_grads()
     grad_out = 2.0 * (layer.forward(x, "train") - target)
     layer.running_mean[:], layer.running_var[:] = stats
-    layer.backward(grad_out, "train")
+    layer.backward(grad_out)
     err = finite_diff_check(loss_fn, layer.params, layer.grads,
                                n_coords=6, rng=np.random.default_rng(9))
     assert err < 1e-6
+
+
+def bn_with_running_stats(rng):
+    layer = nn.BatchNorm2d(3, dtype=np.float64)
+    layer.params["scale"][:] = rng.uniform(0.5, 1.5, 3)
+    layer.params["shift"][:] = rng.standard_normal(3)
+    layer.running_mean[:] = rng.standard_normal(3)
+    layer.running_var[:] = rng.uniform(0.5, 2.0, 3)
+    return layer
+
+
+def test_bn_backward_after_an_eval_forward_is_the_running_stats_affine_map():
+    # backward takes no mode: it follows the forward that kept the cache
+    rng = np.random.default_rng(18)
+    layer = bn_with_running_stats(rng)
+    layer.forward(rng.standard_normal((4, 3, 5, 5)), "eval")
+    g = rng.standard_normal((4, 3, 5, 5))
+    inv_std = 1.0 / np.sqrt(layer.running_var + nn.BN_EPSILON)
+    np.testing.assert_allclose(layer.backward(g),
+                               g * (layer.params["scale"] * inv_std)[:, None, None],
+                               rtol=1e-12)
+
+
+def test_bn_backward_after_a_train_forward_matches_finite_differences_in_the_input():
+    rng = np.random.default_rng(19)
+    layer = bn_with_running_stats(rng)
+    x = rng.standard_normal((4, 3, 5, 5))
+    target = rng.standard_normal((4, 3, 5, 5))
+
+    def loss_fn():  # train mode reads batch statistics only
+        return float(np.sum((layer.forward(x, "train") - target) ** 2))
+
+    dx = layer.backward(2.0 * (layer.forward(x, "train") - target))
+    err = finite_diff_check(loss_fn, {"x": x}, {"x": dx}, n_coords=30,
+                            rng=np.random.default_rng(20))
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("make, shape", [
+    (lambda rng: nn.Conv2d(2, 3, stride=2, rng=rng), (4, 2, 6, 6)),
+    (lambda rng: nn.BatchNorm2d(2), (4, 2, 6, 6)),
+    (lambda rng: nn.Dense(5, 2, rng=rng), (4, 5)),
+], ids=["conv", "norm", "dense"])
+def test_a_second_backward_sets_the_same_parameter_gradients(make, shape):
+    # gradients are set, not added: nothing needs zeroing between backwards
+    rng = np.random.default_rng(21)
+    layer = make(rng)
+    x = rng.standard_normal(shape).astype(np.float32)
+    grad_out = rng.standard_normal(layer.forward(x, "train").shape).astype(np.float32)
+    layer.backward(grad_out)
+    first = {name: g.tobytes() for name, g in layer.grads.items()}
+    if isinstance(layer, nn.Conv2d):
+        layer.forward(x, "train")  # conv frees its cache once backward has used it
+    layer.backward(grad_out)
+    assert set(layer.grads) == set(layer.params)
+    for name, g in layer.grads.items():
+        assert g.dtype == layer.params[name].dtype and g.tobytes() == first[name], name
 
 
 # -- relu / pooling / dense ------------------------------------------------
@@ -270,7 +324,7 @@ def test_relu_forward_and_backward():
     x = np.array([[-1.0, 2.0], [0.0, -3.0]])
     out = layer.forward(x, "train")
     np.testing.assert_allclose(out, [[0.0, 2.0], [0.0, 0.0]])
-    grad = layer.backward(np.ones_like(x), "train")
+    grad = layer.backward(np.ones_like(x))
     np.testing.assert_allclose(grad, [[0.0, 1.0], [0.0, 0.0]])
 
 
@@ -280,7 +334,7 @@ def test_global_avg_pool_roundtrip():
     x = rng.standard_normal((2, 3, 4, 4))
     out = layer.forward(x, "eval")
     np.testing.assert_allclose(out, x.mean(axis=(2, 3)))
-    grad = layer.backward(np.ones((2, 3)), "eval")
+    grad = layer.backward(np.ones((2, 3)))
     np.testing.assert_allclose(grad, np.full_like(x, 1.0 / 16.0))
 
 
@@ -290,9 +344,8 @@ def test_dense_matches_matmul():
     x = rng.standard_normal((3, 5))
     out = layer.forward(x, "train")
     np.testing.assert_allclose(out, x @ layer.params["weight"] + layer.params["bias"])
-    layer.zero_grads()
     g = rng.standard_normal((3, 2))
-    dx = layer.backward(g, "train")
+    dx = layer.backward(g)
     np.testing.assert_allclose(dx, g @ layer.params["weight"].T)
     np.testing.assert_allclose(layer.grads["weight"], x.T @ g)
     np.testing.assert_allclose(layer.grads["bias"], g.sum(axis=0))
@@ -413,8 +466,7 @@ def test_finite_diff_exact_for_linear_layer():
     def loss_fn():
         return float(np.sum((layer.forward(x, "train") - y) ** 2))
 
-    layer.zero_grads()
-    layer.backward(2.0 * (layer.forward(x, "train") - y), "train")
+    layer.backward(2.0 * (layer.forward(x, "train") - y))
     err = finite_diff_check(loss_fn, layer.params, layer.grads,
                                n_coords=7, rng=np.random.default_rng(15))
     assert err < 1e-7
@@ -428,9 +480,8 @@ def test_finite_diff_flags_corrupted_gradient():
     def loss_fn():
         return float(np.sum(layer.forward(x, "train")))
 
-    layer.zero_grads()
     layer.forward(x, "train")
-    layer.backward(np.ones((2, 1)), "train")
+    layer.backward(np.ones((2, 1)))
     layer.grads["weight"][0, 0] += 0.1
     err = finite_diff_check(loss_fn, layer.params, layer.grads,
                                n_coords=4, rng=np.random.default_rng(17))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -90,20 +91,104 @@ def _plus_sprite(size):
     return mask
 
 
-def generate_background(modality, rng, cfg=CorpusConfig()):
-    """One background image for the given modality ("smooth" | "sharp")."""
-    from scipy.ndimage import gaussian_filter  # here, so only generating loads scipy
+BLUR_CHUNK = 64  # images per blur pass: a whole task's stack falls out of cache and runs slower
+
+
+def _correlate_symmetric(x, half, axis):
+    """scipy.ndimage.correlate1d of x along `axis` with the symmetric kernel
+    half[|j|], mode "reflect", in scipy's order of sums: the centre term, then
+    (x[i - j] + x[i + j]) * half[j] for j = r..1."""
+    n, r = x.shape[axis], len(half) - 1
+    xp = np.pad(x, [(r, r) if a == axis else (0, 0) for a in range(x.ndim)],
+                mode="symmetric")  # scipy's "reflect", also for r > n
+    at = [slice(None)] * x.ndim
+
+    def shifted(j):  # x[i + j] along `axis`
+        at[axis] = slice(r + j, r + j + n)
+        return xp[tuple(at)]
+
+    out = shifted(0) * half[0]
+    tmp = np.empty_like(out)
+    for j in range(r, 0, -1):
+        np.add(shifted(-j), shifted(j), out=tmp)
+        tmp *= half[j]
+        out += tmp
+    return out
+
+
+def gaussian_blur(fields, sigma):
+    """scipy.ndimage.gaussian_filter(f, sigma) of each float64 (H, W) field f
+    in an (N, H, W) stack, bit for bit: truncate 4, reflect borders, axis 0
+    then axis 1; a sigma of at most 1e-15 leaves the fields as they are."""
+    fields = np.asarray(fields, dtype=np.float64)
+    if sigma <= 1e-15:
+        return fields.copy()
+    radius = int(4.0 * float(sigma) + 0.5)
+    phi = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    half = (phi / phi.sum())[radius:]
+    out = np.empty_like(fields)
+    for b in range(0, len(fields), BLUR_CHUNK):
+        out[b : b + BLUR_CHUNK] = _correlate_symmetric(
+            _correlate_symmetric(fields[b : b + BLUR_CHUNK], half, 1), half, 2)
+    return out
+
+
+def _backgrounds(modality, base, noise, cfg):
+    """Backgrounds from (N, S, S) standard-normal base and noise fields."""
     if modality == "smooth":
-        blur, noise = cfg.smooth_blur, cfg.smooth_noise
+        blur, amplitude = cfg.smooth_blur, cfg.smooth_noise
     elif modality == "sharp":
-        blur, noise = cfg.sharp_blur, cfg.sharp_noise
+        blur, amplitude = cfg.sharp_blur, cfg.sharp_noise
     else:
         raise ConfigError(f"unknown modality {modality!r}")
-    s = cfg.image_size
-    base = gaussian_filter(rng.standard_normal((s, s)), blur)
-    base = (base - base.mean()) / (base.std() + 1e-12)
-    img = 0.5 + cfg.contrast * base + noise * rng.standard_normal((s, s))
+    base = gaussian_blur(base, blur).reshape(len(base), -1)
+    base = ((base - base.mean(axis=1, keepdims=True))
+            / (base.std(axis=1, keepdims=True) + 1e-12)).reshape(noise.shape)
+    img = 0.5 + cfg.contrast * base + amplitude * noise
     return np.clip(img, 0.0, 1.0).astype(np.float32)
+
+
+def generate_background(modality, rng, cfg=CorpusConfig()):
+    """One background image for the given modality ("smooth" | "sharp")."""
+    shape = (1, cfg.image_size, cfg.image_size)
+    base, noise = rng.standard_normal(shape), rng.standard_normal(shape)
+    return _backgrounds(modality, base, noise, cfg)[0]
+
+
+def _draw_placement(rng, cfg, s):
+    """An imprint's draws, in order: scale, rotation, top, left and offset."""
+    scale = rng.uniform(cfg.scale_min, cfg.scale_max)
+    theta = rng.uniform(0.0, 2 * np.pi)
+    foot = int(np.ceil(cfg.sprite_size * scale * np.sqrt(2)))  # room for rotation
+    if foot > s:
+        raise ShapeError(f"target footprint {foot} does not fit into image of size {s}")
+    top = rng.integers(0, s - foot + 1)
+    left = rng.integers(0, s - foot + 1)
+    return scale, theta, foot, top, left, rng.uniform(cfg.offset_min, cfg.offset_max)
+
+
+def _imprint(image, polarity, placement, cfg):
+    """Imprint a drawn placement into `image` in place."""
+    scale, theta, foot, top, left, offset = placement
+    if polarity == "low":
+        offset = -offset
+    elif polarity != "high":
+        raise ConfigError(f"unknown polarity {polarity!r}")
+    # inverse-map footprint pixels into the sprite frame (nearest neighbor)
+    dy = np.arange(foot)[:, None] - (foot - 1) / 2.0
+    dx = dy.T
+    sc = cfg.sprite_size / 2.0 - 0.5
+    cos, sin = np.cos(theta), np.sin(theta)
+    u = (cos * dy + sin * dx) / scale + sc
+    v = (-sin * dy + cos * dx) / scale + sc
+    ui = np.rint(u).astype(int)
+    vi = np.rint(v).astype(int)
+    inside = (ui >= 0) & (ui < cfg.sprite_size) & (vi >= 0) & (vi < cfg.sprite_size)
+    mask = np.zeros((foot, foot), dtype=bool)
+    mask[inside] = _plus_sprite(cfg.sprite_size)[ui[inside], vi[inside]]
+    region = image[..., top : top + foot, left : left + foot]
+    # a Python float offset: a float32 image stays float32
+    region[..., mask] = np.clip(region[..., mask] + offset, 0.0, 1.0)
 
 
 def imprint_target(image, polarity, rng, cfg=CorpusConfig()):
@@ -112,52 +197,34 @@ def imprint_target(image, polarity, rng, cfg=CorpusConfig()):
     The affected pixels gain +u ("high") or -u ("low"), u ~ U[offset_min,
     offset_max]; the result is clamped to [0, 1]. Returns a new image.
     """
-    sprite = _plus_sprite(cfg.sprite_size)
-    scale = rng.uniform(cfg.scale_min, cfg.scale_max)
-    theta = rng.uniform(0.0, 2 * np.pi)
-    foot = int(np.ceil(cfg.sprite_size * scale * np.sqrt(2)))  # room for rotation
-    s = image.shape[-1]
-    if foot > s:
-        raise ShapeError(f"target footprint {foot} does not fit into image of size {s}")
-    top = rng.integers(0, s - foot + 1)
-    left = rng.integers(0, s - foot + 1)
-    # inverse-map footprint pixels into the sprite frame (nearest neighbor)
-    yy, xx = np.mgrid[0:foot, 0:foot].astype(np.float64)
-    cy = cx = (foot - 1) / 2.0
-    sc = cfg.sprite_size / 2.0 - 0.5
-    cos, sin = np.cos(theta), np.sin(theta)
-    u = (cos * (yy - cy) + sin * (xx - cx)) / scale + sc
-    v = (-sin * (yy - cy) + cos * (xx - cx)) / scale + sc
-    ui = np.rint(u).astype(int)
-    vi = np.rint(v).astype(int)
-    inside = (ui >= 0) & (ui < cfg.sprite_size) & (vi >= 0) & (vi < cfg.sprite_size)
-    mask = np.zeros((foot, foot), dtype=bool)
-    mask[inside] = sprite[ui[inside], vi[inside]]
-    offset = rng.uniform(cfg.offset_min, cfg.offset_max)
-    if polarity == "low":
-        offset = -offset
-    elif polarity != "high":
-        raise ConfigError(f"unknown polarity {polarity!r}")
     out = np.array(image, copy=True)
-    region = out[..., top : top + foot, left : left + foot]
-    region[..., mask] = np.clip(region[..., mask] + offset, 0.0, 1.0)
+    _imprint(out, polarity, _draw_placement(rng, cfg, out.shape[-1]), cfg)
     return out
 
 
 def _make_samples(task, count, rng, cfg, id_start):
-    """Balanced labeled samples for one task; exactly half are positives."""
+    """Balanced labeled samples for one task; exactly half are positives.
+
+    Each sample's draws come in turn (its base and noise fields, then a
+    positive's placement), so the stream of draws is one image at a time;
+    the backgrounds are then built and imprinted for the whole task at once.
+    """
     modality, polarity = TASK_ATTRS[task]
     n_pos = count // 2
     labels = np.array([1] * n_pos + [0] * (count - n_pos), dtype=np.uint8)
-    images = np.empty((count, 1, cfg.image_size, cfg.image_size), dtype=np.float32)
-    for i, lab in enumerate(labels):
-        img = generate_background(modality, rng, cfg)
-        if lab:
-            img = imprint_target(img, polarity, rng, cfg)
-        images[i, 0] = img
+    s = cfg.image_size
+    base, noise = np.empty((2, count, s, s))
+    placements = []
+    for i in range(count):
+        base[i], noise[i] = rng.standard_normal((s, s)), rng.standard_normal((s, s))
+        if i < n_pos:
+            placements.append(_draw_placement(rng, cfg, s))
+    images = _backgrounds(modality, base, noise, cfg)
+    for image, placement in zip(images, placements):
+        _imprint(image, polarity, placement, cfg)
     order = rng.permutation(count)
     ids = np.arange(id_start, id_start + count, dtype=np.int64)
-    return Dataset(images[order], labels[order], np.full(count, task), ids)
+    return Dataset(images[order, None], labels[order], np.full(count, task), ids)
 
 
 @dataclass
@@ -244,6 +311,7 @@ def save_corpus(corpus, out_dir):
     image_size, count, seed, config_hash, fields}, then the arrays in header
     field order (ids int64, tasks uint8 codes, labels uint8, pixels float32).
     """
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg_hash = corpus.config.config_hash()
     manifest = {
@@ -281,6 +349,7 @@ def _split_layout(header):
 
 def load_corpus(corpus_dir):
     """Load a corpus written by save_corpus, validating the config hash."""
+    corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"no corpus manifest at {manifest_path}")

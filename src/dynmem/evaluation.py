@@ -11,6 +11,7 @@ import io
 
 import numpy as np
 
+from . import nn
 from .data import TASKS
 from .validation import ConfigError, ShapeError
 
@@ -18,8 +19,12 @@ R_ROWS = ("base", "after_A", "after_B", "after_C")
 
 CSV_HEADER = ("step", "strategy", "seed", "task", "split", "metric", "value")
 
+# Images per eval forward. A multiple of nn.CONV_BLOCK groups the conv's GEMMs as one
+# whole forward does, so the logits keep that forward's bits; 32 keeps the peak RSS low.
+EVAL_BLOCK = 4 * nn.CONV_BLOCK
 
-def accuracy(model, images, labels, batch_size=256):
+
+def accuracy(model, images, labels, batch_size=EVAL_BLOCK):
     """Fraction of correct eval-mode predictions."""
     labels = np.asarray(labels).reshape(-1)
     if len(labels) == 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, asdict
@@ -45,6 +46,12 @@ class ExperimentConfig:
     recompute_signatures: bool = False
 
     def __post_init__(self):
+        for name in ("seed", "n_seeds", "input_batch_size", "train_batch_size", "memory_size",
+                     "base_epochs", "full_epochs", "probe_every", "image_size"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))  # a numpy integer would not serialise to JSON
         if self.memory_size < 2 or self.memory_size % 2:
             raise ConfigError(f"memory size M must be an even integer >= 2, got {self.memory_size}")
         if self.seed < 0:

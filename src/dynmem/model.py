@@ -340,5 +340,4 @@ class ConvNetClassifier:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path} does not hold the model its header describes: "
                               f"{exc!r}") from None
-        model.reset_optimizer()
         return model

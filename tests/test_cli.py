@@ -428,20 +428,29 @@ def test_image_size_too_small_for_the_sprite_is_runtime_error_naming_the_minimum
     assert not out.exists()
 
 
-def test_cli_imports_no_scipy_until_generate(tmp_path):
-    """Only the corpus generator needs scipy: importing the driver loads none
-    of it, and `generate` loads it on demand."""
+def test_no_command_imports_scipy(tmp_path):
+    """The program needs numpy alone: no command, `generate` included, loads
+    any scipy module (scipy is a test oracle only)."""
     script = (
         "import sys\n"
         "from dynmem.cli import main\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        f"code = main(['generate', '--out', {str(tmp_path / 'corpus')!r}, '--base-n', '4',\n"
-        "             '--cont-a', '4', '--cont-b', '4', '--cont-c', '4', '--eval-n', '2'])\n"
-        "print(code, 'scipy.ndimage' in sys.modules)\n")
+        f"root = {str(tmp_path)!r}\n"
+        "run = ['--corpus', root + '/corpus', '--out', root + '/runs', '--seeds', '1']\n"
+        "for argv in (['generate', '--out', root + '/corpus', '--image-size', '16',\n"
+        "              '--base-n', '8', '--cont-a', '8', '--cont-b', '8', '--cont-c', '8',\n"
+        "              '--eval-n', '4'],\n"
+        "             ['train-base', *run, '--base-epochs', '1'],\n"
+        "             ['continual', *run, '--strategy', 'ewc-fbn'],\n"
+        "             ['continual', *run, '--strategy', 'dm', '--memory', '4'],\n"
+        "             ['sweep-memory', *run, '--sizes', '4'],\n"
+        "             ['full-training', *run, '--full-epochs', '1']):\n"
+        "    print(argv[0], main(argv), sorted(m for m in sys.modules\n"
+        "                                      if m.split('.')[0] == 'scipy'))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(Path(dynmem.__file__).parents[1])))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "0 True"]
+    assert proc.stdout.splitlines() == [f"{c} 0 []" for c in (
+        "generate", "train-base", "continual", "continual", "sweep-memory", "full-training")]
     assert (tmp_path / "corpus" / "manifest.json").exists()
 
 

@@ -263,6 +263,13 @@ def test_corpus_save_load_round_trip(tmp_path, corpus):
         np.testing.assert_array_equal(a.ids, b.ids)
 
 
+def test_corpus_save_and_load_take_a_str_path(tmp_path, corpus):
+    save_corpus(corpus, str(tmp_path / "corpus"))
+    loaded = load_corpus(str(tmp_path / "corpus"))
+    assert loaded.config == corpus.config
+    np.testing.assert_array_equal(loaded.test.images, corpus.test.images)
+
+
 def test_corpus_save_is_deterministic(tmp_path, corpus):
     save_corpus(corpus, tmp_path / "a")
     save_corpus(corpus, tmp_path / "b")

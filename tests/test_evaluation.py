@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dynmem import evaluation as ev
+from dynmem import nn
 from dynmem.data import CorpusConfig, build_corpus
 from dynmem.model import ConvNetClassifier
 from dynmem.validation import ConfigError, ShapeError
@@ -43,6 +44,23 @@ def test_accuracy_matches_recount_oracle():
     model = ConstantModel(1)
     expected = np.sum(y == 1) / len(y)
     assert ev.accuracy(model, np.zeros((300, 1, 4, 4)), y, batch_size=64) == expected
+
+
+def test_eval_blocks_keep_the_logit_bits_of_one_whole_forward():
+    """`accuracy` forwards EVAL_BLOCK images at a time. As a multiple of the
+    conv's block it groups the GEMMs as one forward of all the images does, so
+    the logits, and with them every prediction, keep their bits."""
+    assert ev.EVAL_BLOCK % nn.CONV_BLOCK == 0
+    split = build_corpus(CorpusConfig(base_count=150, continuous_counts=(2, 2, 2),
+                                      eval_count=2), seed=0).base
+    model = ConvNetClassifier(random_state=3)
+    model.fit_norm_statistics(split.images)
+    whole = model.decision_function(split.images)
+    blocks = [model.decision_function(split.images[b : b + ev.EVAL_BLOCK])
+              for b in range(0, len(split), ev.EVAL_BLOCK)]
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+    assert ev.accuracy(model, split.images, split.labels) == np.mean(
+        (whole > 0) == split.labels)
 
 
 def test_accuracy_empty_dataset_raises():

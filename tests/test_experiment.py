@@ -61,6 +61,17 @@ def test_config_rejects_nonsensical_rates_weights_and_memory_sizes(field, value,
         ExperimentConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_seeds", 1.5), ("probe_every", 2.5), ("memory_size", 32.0), ("seed", 100.0),
+    ("base_epochs", "6"),
+])
+def test_config_rejects_a_count_that_is_not_an_integer_naming_the_field(field, value):
+    with pytest.raises(ConfigError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+        ExperimentConfig(**{field: value})
+    numpy_int = ExperimentConfig(**{field: np.int64(int(value))})
+    assert numpy_int.config_hash() == ExperimentConfig(**{field: int(value)}).config_hash()
+
+
 def test_config_rejects_a_negative_seed():
     with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
         ExperimentConfig(seed=-1)

@@ -313,6 +313,22 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path, small_model, images16):
     assert loaded.get_params() == small_model.get_params()
 
 
+def test_loaded_model_trains_with_a_fresh_optimizer(tmp_path, small_model, images16):
+    """After a step, a checkpoint's model restarts Adam, as a clone does
+    after `reset_optimizer`."""
+    y = np.array([0, 1, 0, 1, 0, 1])
+    small_model.train_step(images16, y)
+    small_model.save(tmp_path / "model.ckpt", seed_provenance={"seed": 0})
+    loaded = ConvNetClassifier.load(tmp_path / "model.ckpt")
+    fresh = small_model.clone()
+    fresh.reset_optimizer()
+    for model in (loaded, fresh):
+        model.train_step(images16, y)
+        model.train_step(images16, 1 - y)
+    for name, p in fresh.named_params().items():
+        assert loaded.named_params()[name].tobytes() == p.tobytes(), name
+
+
 def test_checkpoint_save_is_deterministic(tmp_path, small_model):
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     small_model.save(a)

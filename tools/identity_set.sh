@@ -6,7 +6,8 @@
 #
 # The set is generate, train-base, continual for every strategy, sweep-memory
 # and full-training at --seeds 2, then three one-seed continual runs, which
-# evaluate in a forked process where a core is spare.
+# evaluate in a forked process where a core is spare, and last a second, small
+# corpus at another seed and the smallest image size.
 #
 # A change that claims the same results runs this on the old and the new
 # tree and compares the two outputs with `diff -r OLD_OUT NEW_OUT`.
@@ -37,3 +38,5 @@ run continual "${one[@]}" --out one_ewc_fbn --strategy ewc-fbn
 run continual "${one[@]}" --out one_dm160 --strategy dm --memory 160
 run continual "${one[@]}" --out one_dm32_refresh --strategy dm --memory 32 \
     --recompute-signatures
+run generate --out corpus15 --seed 7 --image-size 15 --base-n 31 --cont-a 21 --cont-b 13 \
+    --cont-c 45 --eval-n 9

@@ -83,6 +83,7 @@ SETTINGS = {
     "--memory": ("memory_size", MEMORY_SIZE, "memory size M"),
 }
 STREAM_SETTINGS = ("--batch", "--train-batch", "--stream-lr", "--probe-every")
+STREAM_SPLITS = ("continuous", "validation", "test")  # the stream, its probes, the R-matrix
 
 
 def _add_common(p):
@@ -105,12 +106,13 @@ def _add_corpus_flags(p):
                         "side of a transition ramp; 0 is an abrupt shift")
 
 
-def _add_run_parser(sub, name, run, help, settings):
-    """The subcommand `name`, which `run` runs on a corpus: the common flags,
-    --corpus, --seeds and the given setting flags. A setting flag not given is
-    left out of the parsed args, so its ExperimentConfig field keeps its default."""
+def _add_run_parser(sub, name, run, help, splits, settings):
+    """The subcommand `name`, which `run` runs on the named splits of a corpus:
+    the common flags, --corpus, --seeds and the given setting flags. A setting
+    flag not given is left out of the parsed args, so its ExperimentConfig
+    field keeps its default."""
     p = sub.add_parser(name, help=help)
-    p.set_defaults(run=run)
+    p.set_defaults(run=run, splits=splits)
     _add_common(p)
     p.add_argument("--corpus", type=Path, required=True, help="corpus directory")
     for flag in ("--seeds", *settings):
@@ -133,33 +135,35 @@ def build_parser():
     _add_corpus_flags(p)
 
     p = _add_run_parser(sub, "train-base", cmd_train_base,
-                        "train the base model on task A (per seed)",
+                        "train the base model on task A (per seed)", ("base", "validation"),
                         ("--train-batch", "--lr", "--base-epochs"))
     p.add_argument("--no-ewc", action="store_true",
                    help="skip Fisher/anchor computation in the checkpoint")
 
     p = _add_run_parser(sub, "continual", cmd_continual,
-                        "run a continual strategy over the stream",
+                        "run a continual strategy over the stream", STREAM_SPLITS,
                         (*STREAM_SETTINGS, "--lambda", "--memory"))
     p.add_argument("--strategy", required=True, choices=("naive", "ewc", "ewc-fbn", "dm"))
     p.add_argument("--recompute-signatures", action="store_true", default=argparse.SUPPRESS)
     p.add_argument("--base", type=Path, help="base checkpoint directory (default: --out)")
 
     p = _add_run_parser(sub, "sweep-memory", cmd_sweep_memory,
-                        "run the dm strategy across memory sizes", STREAM_SETTINGS)
+                        "run the dm strategy across memory sizes", STREAM_SPLITS,
+                        STREAM_SETTINGS)
     p.add_argument("--sizes", type=MEMORY_SIZE, nargs="+", default=list(DEFAULT_SWEEP_SIZES))
     p.add_argument("--base", type=Path, help="base checkpoint directory (default: --out)")
 
     _add_run_parser(sub, "full-training", cmd_full_training,
-                    "epoch-based upper bound on all data",
+                    "epoch-based upper bound on all data", ("base", "continuous", "test"),
                     ("--train-batch", "--lr", "--full-epochs"))
     return parser
 
 
 def _config_and_corpus(args):
-    """The corpus at --corpus, and the ExperimentConfig at its image size with the
-    setting flags given; the settings not given keep their defaults."""
-    corpus = load_corpus(args.corpus)
+    """The splits of the corpus at --corpus that the subcommand reads, and the
+    ExperimentConfig at its image size with the setting flags given; the
+    settings not given keep their defaults."""
+    corpus = load_corpus(args.corpus, args.splits)
     given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
              if hasattr(args, f.name)}
     return ExperimentConfig(**given, image_size=corpus.config.image_size), corpus

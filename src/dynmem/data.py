@@ -75,11 +75,9 @@ class Dataset:
     def __len__(self):
         return len(self.labels)
 
-    def subset(self, mask):
-        return Dataset(self.images[mask], self.labels[mask], self.tasks[mask], self.ids[mask])
-
     def task_subset(self, task):
-        return self.subset(self.tasks == task)
+        mask = self.tasks == task
+        return Dataset(self.images[mask], self.labels[mask], self.tasks[mask], self.ids[mask])
 
 
 def _plus_sprite(size):
@@ -229,6 +227,8 @@ def _make_samples(task, count, rng, cfg, id_start):
 
 @dataclass
 class Corpus:
+    """The four splits; load_corpus leaves a split it is not asked for as None."""
+
     base: Dataset
     continuous: Dataset
     validation: Dataset
@@ -270,8 +270,9 @@ def build_corpus(cfg=CorpusConfig(), seed=0):
 # -- stream ---------------------------------------------------------------
 
 def emit_stream(continuous, ramp_fraction, rng):
-    """Order the continuous split into a stream; return it with each task's
-    checkpoint, the last position of the task's pure segment.
+    """Order the continuous split into a stream: return the order, an int64
+    index array into `continuous`, with each task's checkpoint, the last
+    position of the task's pure segment.
 
     The segments follow the split's task counts in task order, and every
     sample is emitted exactly once. Each boundary gets a linear transition
@@ -299,7 +300,7 @@ def emit_stream(continuous, ramp_fraction, rng):
     # pop per-task samples in shuffled order
     pools = [list(rng.permutation(np.nonzero(continuous.tasks == t)[0])) for t in TASKS]
     order = np.array([pools[t_idx].pop() for t_idx in assignment], dtype=np.int64)
-    return continuous.subset(order), checkpoints
+    return order, checkpoints
 
 
 # -- corpus IO -------------------------------------------------------------
@@ -347,8 +348,21 @@ def _split_layout(header):
     return [(name, shapes.get(name, (count,)), dt) for name, dt in CORPUS_FIELDS]
 
 
-def load_corpus(corpus_dir):
-    """Load a corpus written by save_corpus, validating the config hash."""
+def _check_values(path, a):
+    """Refuse a split with a value that save_corpus never writes: a task code
+    that is not an index of TASKS, a label other than 0 or 1, or a pixel
+    outside [0, 1], NaN included."""
+    for name, low, high in (("tasks", 0, len(TASKS) - 1), ("labels", 0, 1),
+                            ("pixels", 0.0, 1.0)):
+        lo, hi = a[name].min(initial=low), a[name].max(initial=high)
+        if not (low <= lo and hi <= high):  # a NaN fails both
+            raise ConfigError(f"{path} holds {name} outside [{low}, {high}]: "
+                              f"they range from {lo} to {hi}")
+
+
+def load_corpus(corpus_dir, splits=SPLITS):
+    """Load the named splits of a corpus written by save_corpus, validating
+    the config hash and each split's values; the splits not named are None."""
     corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / "manifest.json"
     if not manifest_path.exists():
@@ -364,13 +378,12 @@ def load_corpus(corpus_dir):
         raise ConfigError(f"{manifest_path} is not a valid corpus manifest: {exc!r}") from exc
     if cfg.config_hash() != config_hash:
         raise ConfigError(f"{manifest_path}: config hash mismatch")
-    splits = {}
-    for split in SPLITS:
+    loaded = dict.fromkeys(SPLITS)
+    for split in splits:
         path = corpus_dir / f"{split}.dmc"
         header, a = read_container(path, CORPUS_MAGIC, "corpus container", _split_layout)
         if header["config_hash"] != config_hash:
             raise ConfigError(f"{path} config hash differs from the manifest")
-        splits[split] = Dataset(a["pixels"], a["labels"],
-                                np.array([TASKS[c] for c in a["tasks"]]), a["ids"])
-    return Corpus(splits["base"], splits["continuous"], splits["validation"],
-                  splits["test"], cfg, seed)
+        _check_values(path, a)
+        loaded[split] = Dataset(a["pixels"], a["labels"], np.array(TASKS)[a["tasks"]], a["ids"])
+    return Corpus(**loaded, config=cfg, seed=seed)

@@ -241,11 +241,12 @@ def run_continual(corpus, base_model, strategy_name, cfg, seed):
     # seen once, and a hot optimizer would churn through old-task competence
     model.learning_rate = cfg.stream_learning_rate
     model.reset_optimizer()
-    stream, checkpoints = emit_stream(corpus.continuous, corpus.config.ramp_fraction,
-                                      np.random.default_rng(seed + STREAM_SEED_OFFSET))
+    continuous = corpus.continuous
+    order, checkpoints = emit_stream(continuous, corpus.config.ramp_fraction,
+                                     np.random.default_rng(seed + STREAM_SEED_OFFSET))
     strategy = make_strategy(strategy_name, model, cfg)
     rng = np.random.default_rng(seed)
-    total_steps = len(stream) // b  # trailing partial batch is dropped
+    total_steps = len(order) // b  # trailing partial batch is dropped
     checkpoint_steps = {task: min(pos // b + 1, total_steps) for task, pos in checkpoints.items()}
     if checkpoint_steps["B"] >= total_steps:
         # area_C averages the probes after B's checkpoint; the last probe is the final step
@@ -273,9 +274,9 @@ def run_continual(corpus, base_model, strategy_name, cfg, seed):
         # a diverging loss overflows on its way to NaN; the check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(1, total_steps + 1):
-                lo = (step - 1) * b
-                report = strategy.step(stream.images[lo : lo + b], stream.labels[lo : lo + b],
-                                       tasks=stream.tasks[lo : lo + b], rng=rng)
+                batch = order[(step - 1) * b : step * b]
+                report = strategy.step(continuous.images[batch], continuous.labels[batch],
+                                       tasks=continuous.tasks[batch], rng=rng)
                 if not np.isfinite(report["loss"]):
                     raise DivergenceError(f"stream training diverged ({strategy.name}): loss "
                                           f"{report['loss']} at step {step} of {total_steps}; "
@@ -303,7 +304,7 @@ def run_continual(corpus, base_model, strategy_name, cfg, seed):
         "rmatrix": rmatrix.tolist(), "r_rows": list(ev.R_ROWS), "tasks": list(TASKS),
     }
     dump = strategy.memory.dump() if strategy_name == "dm" else None
-    return RunResult(strategy.name, seed, rows, rmatrix, summary, stream.ids.copy(), dump)
+    return RunResult(strategy.name, seed, rows, rmatrix, summary, continuous.ids[order], dump)
 
 
 def run_full_training(corpus, cfg, seed):

@@ -13,6 +13,7 @@ import pytest
 
 import dynmem
 from dynmem.cli import _config_and_corpus, build_parser, main
+from dynmem.data import SPLITS
 from dynmem.experiment import ExperimentConfig, usable_cores
 
 
@@ -346,7 +347,7 @@ def test_config_file_values_are_typed_and_explicit_flags_win(workspace, tmp_path
     assert written_files(by_file) == written_files(by_flags)
 
 
-@pytest.mark.parametrize("target", ["base_seed0.ckpt", "base.dmc"])
+@pytest.mark.parametrize("target", ["base_seed0.ckpt", "continuous.dmc"])
 @pytest.mark.parametrize("where", ["header", "arrays"])
 def test_truncated_file_is_runtime_error_naming_the_file(workspace, tmp_path, capsys,
                                                           target, where):
@@ -363,6 +364,39 @@ def test_truncated_file_is_runtime_error_naming_the_file(workspace, tmp_path, ca
                          "--base", str(bad_base)) == 1
     err = capsys.readouterr().err
     assert str(path) in err and "truncated" in err
+
+
+# the corpus splits each subcommand reads, and the flags that make it quick
+READS = {
+    "train-base": (("base", "validation"), ["--base-epochs", "1"]),
+    "continual": (("continuous", "validation", "test"), ["--strategy", "naive"]),
+    "sweep-memory": (("continuous", "validation", "test"), ["--sizes", "2"]),
+    "full-training": (("base", "continuous", "test"), ["--full-epochs", "1"]),
+}
+
+
+@pytest.mark.parametrize("command", READS)
+def test_command_reads_only_its_own_splits(workspace, tmp_path, capsys, command):
+    """A command runs with every split it does not read deleted; deleting one
+    it reads is a runtime error naming the file."""
+    corpus, out = workspace
+    splits, flags = READS[command]
+    partial = tmp_path / "corpus"
+    shutil.copytree(corpus, partial)
+    for split in set(SPLITS) - set(splits):
+        (partial / f"{split}.dmc").unlink()
+    argv = [command, "--corpus", str(partial), "--seed", "0", "--seeds", "1", *flags]
+    if command in ("continual", "sweep-memory"):
+        argv += ["--base", str(out), "--probe-every", "5"]
+    assert main([*argv, "--out", str(tmp_path / "all")]) == 0
+    for split in splits:
+        path = partial / f"{split}.dmc"
+        blob = path.read_bytes()
+        path.unlink()
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / split)]) == 1
+        assert str(path) in capsys.readouterr().err
+        path.write_bytes(blob)
 
 
 @pytest.mark.parametrize("cont_c, seeds, batch", [

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter, median_filter
 
-from dynmem.data import (TASKS, TASK_ATTRS, CorpusConfig, Dataset, build_corpus,
-                         emit_stream, generate_background, imprint_target, load_corpus,
-                         save_corpus)
-from dynmem.validation import ConfigError, ShapeError
+from dynmem.data import (CORPUS_FIELDS, CORPUS_MAGIC, TASKS, TASK_ATTRS, CorpusConfig,
+                         Dataset, _split_layout, build_corpus, emit_stream, generate_background,
+                         imprint_target, load_corpus, save_corpus)
+from dynmem.validation import ConfigError, ShapeError, read_container, write_container
 
 SMALL = CorpusConfig(base_count=60, continuous_counts=(60, 40, 90), eval_count=20)
 
@@ -196,31 +196,34 @@ def stand_in(counts):
 
 
 def test_stream_default_geometry():
-    stream, checkpoints = emit_stream(stand_in((600, 400, 950)), 0.15, np.random.default_rng(0))
-    assert len(stream) == 1950
+    continuous = stand_in((600, 400, 950))
+    order, checkpoints = emit_stream(continuous, 0.15, np.random.default_rng(0))
+    assert order.dtype == np.int64 and len(order) == 1950
+    tasks = continuous.tasks[order]
     assert checkpoints == {"A": 539, "B": 939, "C": 1949}
     # each ramp carves floor(0.15 * 400) = 60 positions from both sides of its boundary
     ramps = [slice(540, 660), slice(940, 1060)]
     outside = np.ones(1950, dtype=bool)
     for ramp, pair in zip(ramps, [("A", "B"), ("B", "C")]):
         outside[ramp] = False
-        assert [int(np.sum(stream.tasks[ramp] == t)) for t in pair] == [60, 60]
-    np.testing.assert_array_equal(stream.tasks[outside],
+        assert [int(np.sum(tasks[ramp] == t)) for t in pair] == [60, 60]
+    np.testing.assert_array_equal(tasks[outside],
                                   np.repeat(TASKS, (600, 400, 950))[outside])
 
 
 def test_stream_pure_segments_are_pure(corpus):
     # SMALL's ramps carve floor(0.15 * 40) = 6 positions from each side
-    stream, checkpoints = emit_stream(corpus.continuous, SMALL.ramp_fraction,
-                                      np.random.default_rng(0))
+    order, checkpoints = emit_stream(corpus.continuous, SMALL.ramp_fraction,
+                                     np.random.default_rng(0))
     assert checkpoints == {"A": 53, "B": 93, "C": 189}
+    tasks = corpus.continuous.tasks[order]
     for task, start in zip(TASKS, (0, 66, 106)):
-        assert set(stream.tasks[start : checkpoints[task] + 1]) == {task}
+        assert set(tasks[start : checkpoints[task] + 1]) == {task}
 
 
 def test_stream_is_permutation_of_continuous(corpus):
-    stream, _ = emit_stream(corpus.continuous, SMALL.ramp_fraction, np.random.default_rng(1))
-    assert sorted(stream.ids) == sorted(corpus.continuous.ids)
+    order, _ = emit_stream(corpus.continuous, SMALL.ramp_fraction, np.random.default_rng(1))
+    np.testing.assert_array_equal(np.sort(order), np.arange(len(corpus.continuous)))
 
 
 def test_stream_ramp_midpoint_mixture(corpus):
@@ -228,19 +231,19 @@ def test_stream_ramp_midpoint_mixture(corpus):
     mid = SMALL.continuous_counts[0]
     draws = []
     for seed in range(50):
-        stream, _ = emit_stream(corpus.continuous, SMALL.ramp_fraction,
-                                np.random.default_rng(seed))
-        draws.extend(stream.tasks[mid - 2 : mid + 2])
+        order, _ = emit_stream(corpus.continuous, SMALL.ramp_fraction,
+                               np.random.default_rng(seed))
+        draws.extend(corpus.continuous.tasks[order[mid - 2 : mid + 2]])
     frac_a = np.mean(np.asarray(draws) == "A")
     assert 0.4 <= frac_a <= 0.6
 
 
 def test_zero_width_ramp_is_an_abrupt_shift(corpus):
-    stream, checkpoints = emit_stream(corpus.continuous, 0.0, np.random.default_rng(2))
+    order, checkpoints = emit_stream(corpus.continuous, 0.0, np.random.default_rng(2))
     assert checkpoints == {"A": 59, "B": 99, "C": 189}
     expected = np.repeat(TASKS, SMALL.continuous_counts)
-    np.testing.assert_array_equal(stream.tasks, expected)
-    assert sorted(stream.ids) == sorted(corpus.continuous.ids)
+    np.testing.assert_array_equal(corpus.continuous.tasks[order], expected)
+    np.testing.assert_array_equal(np.sort(order), np.arange(len(corpus.continuous)))
 
 
 def test_stream_without_a_task_raises():
@@ -310,6 +313,41 @@ def test_corpus_load_rejects_a_damaged_split_naming_the_file(tmp_path, corpus, d
                       "trailing": blob + b"\0"}[damage])
     with pytest.raises(ConfigError, match=re.escape(str(path))):
         load_corpus(tmp_path / "corpus")
+
+
+def test_corpus_load_reads_only_the_named_splits(tmp_path, corpus):
+    save_corpus(corpus, tmp_path / "corpus")
+    (tmp_path / "corpus" / "base.dmc").unlink()
+    (tmp_path / "corpus" / "test.dmc").write_bytes(b"not a corpus container")
+    loaded = load_corpus(tmp_path / "corpus", ("continuous", "validation"))
+    assert loaded.base is None and loaded.test is None
+    assert loaded.config == corpus.config and loaded.seed == corpus.seed
+    np.testing.assert_array_equal(loaded.continuous.images, corpus.continuous.images)
+    np.testing.assert_array_equal(loaded.validation.tasks, corpus.validation.tasks)
+    with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / "corpus" / "base.dmc"))):
+        load_corpus(tmp_path / "corpus")
+
+
+@pytest.mark.parametrize("field, at, value", [
+    pytest.param("tasks", 3, 3, id="task-code-3"),
+    pytest.param("tasks", 0, 255, id="task-code-255"),
+    pytest.param("labels", 5, 5, id="label-5"),
+    pytest.param("labels", 0, 2, id="label-2"),
+    pytest.param("pixels", 7, np.nan, id="pixel-nan"),
+    pytest.param("pixels", 0, -0.01, id="pixel-negative"),
+    pytest.param("pixels", 40, 1.5, id="pixel-above-one"),
+    pytest.param("pixels", 9, np.inf, id="pixel-inf"),
+])
+def test_corpus_load_rejects_a_value_the_generator_never_writes_naming_the_file(
+        tmp_path, corpus, field, at, value):
+    save_corpus(corpus, tmp_path / "corpus")
+    path = tmp_path / "corpus" / "validation.dmc"
+    header, arrays = read_container(path, CORPUS_MAGIC, "corpus container", _split_layout)
+    arrays[field].reshape(-1)[at] = value
+    write_container(path, CORPUS_MAGIC, header, [arrays[name] for name, _ in CORPUS_FIELDS])
+    with pytest.raises(ConfigError, match=re.escape(str(path)) + f" holds {field} outside"):
+        load_corpus(tmp_path / "corpus")
+    assert load_corpus(tmp_path / "corpus", ("base", "test")).validation is None
 
 
 @pytest.mark.parametrize("fraction", [0.5, -0.1, float("nan"), 0.6, 1.0])

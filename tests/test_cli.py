@@ -488,6 +488,30 @@ def test_no_command_imports_scipy(tmp_path):
     assert (tmp_path / "corpus" / "manifest.json").exists()
 
 
+@pytest.mark.skipif(not hasattr(os, "wait4") or sys.platform != "linux",
+                    reason="page-fault counts of a child process are read through wait4")
+def test_training_steps_fault_in_no_fresh_pages(tmp_path):
+    """Each step's column matrices (4.7 MB of float64 at 32 pixels) reuse heap
+    memory: 16 more steps of base training fault in far fewer pages than one
+    fresh matrix, although every corpus file read is smaller than one."""
+    corpus = tmp_path / "corpus"
+    assert main(["generate", "--out", str(corpus), "--base-n", "64", "--cont-a", "8",
+                 "--cont-b", "8", "--cont-c", "8", "--eval-n", "4"]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(dynmem.__file__).parents[1]))
+
+    def faults(epochs):  # minor page faults of one train-base run of 8 steps per epoch
+        proc = subprocess.Popen([sys.executable, "-m", "dynmem.cli", "train-base", "--corpus",
+                                 str(corpus), "--out", str(tmp_path / f"e{epochs}"), "--seeds",
+                                 "1", "--base-epochs", str(epochs), "--no-ewc"],
+                                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        return usage.ru_minflt
+
+    one_matrix = 8 * 72 * 32 * 32 * 8 // 4096  # pages of b1.conv2's column matrix
+    assert faults(3) - faults(1) < one_matrix
+
+
 def cli(log, *args, **popen):
     """`dynmem` run in a subprocess that imports this checkout's package; its exit
     code, once the command itself has exited, and what it wrote to stderr."""

@@ -273,16 +273,12 @@ def cmd_full_training(args):
 
 
 def _keep_large_temporaries_on_the_heap():
-    """Have glibc's malloc serve blocks below 32 MiB from its heap, and keep up
-    to 64 MiB free at the heap's top, so that each training step's float64
-    column matrices (4.7 MB at the default sizes) reuse memory instead of
-    being mapped afresh and faulted in page by page.
-
-    glibc starts at a 128 KiB mapping threshold and raises it only when a
-    mapped block is freed, so without this a command's training speed hung on
-    the size of the corpus files it happened to read. These are glibc's
-    ceiling for that threshold on 64-bit systems and its trim rule of twice
-    the threshold. Where malloc has no mallopt, nothing changes."""
+    """Set glibc malloc's mmap threshold to 32 MiB, its ceiling on 64-bit
+    systems, and its trim threshold to twice that. Each training step's
+    float64 column matrices (4.7 MB at the default sizes) then reuse heap
+    memory. glibc raises its own threshold only after a mapped block is freed,
+    so they were mapped and faulted in afresh on every step unless the
+    command had read a large corpus file. Without mallopt, nothing changes."""
     import ctypes
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:

@@ -275,10 +275,11 @@ def cmd_full_training(args):
 def _keep_large_temporaries_on_the_heap():
     """Set glibc malloc's mmap threshold to 32 MiB, its ceiling on 64-bit
     systems, and its trim threshold to twice that. Each training step's
-    float64 column matrices (4.7 MB at the default sizes) then reuse heap
-    memory. glibc raises its own threshold only after a mapped block is freed,
-    so they were mapped and faulted in afresh on every step unless the
-    command had read a large corpus file. Without mallopt, nothing changes."""
+    float64 column matrices (up to 1.18 MB each at the default sizes) then
+    reuse heap memory. glibc raises its own threshold only after a mapped
+    block is freed, so they were mapped and faulted in afresh on every step
+    unless the command had read a large corpus file. Without mallopt,
+    nothing changes."""
     import ctypes
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:

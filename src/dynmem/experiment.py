@@ -195,36 +195,52 @@ def run_base_training(corpus, cfg, seed, with_ewc=True):
 
 @contextmanager
 def _evaluator(model, evaluate):
-    """`submit(step)`, which starts `evaluate(step)` on `model` as it is now and
-    returns a call that gives the result.
+    """`submit(*jobs)`, which starts `evaluate(job)` for each job on `model` as
+    it is now and returns a call that gives their results, in a list.
 
-    With a spare core, `evaluate` runs in one forked process while training
-    goes on: each submit sends it a copy of the model's eval state, which it
-    loads into the model it inherited. A submit first raises the exception of
-    any earlier evaluation that has failed. Otherwise it runs here, at once.
+    With a spare core, jobs run in one forked process while training goes
+    on: each submit sends it a copy of the model's eval state, which it loads
+    into the model it inherited. A submit first raises the exception of any
+    earlier job that has failed. The first call for results marks the end of
+    training: this process then takes back, oldest first, each job that the
+    forked one has not started, and runs it here on the eval state it was
+    submitted with, while the forked one finishes the rest. That leaves
+    `model` holding one of those states. Without a spare core, each job runs
+    here, at once.
     """
     # a pool worker has no spare core: its pool already runs a process on each
     if _inherited_fn is not None or usable_cores() < 2:
-        def submit(step):
-            result = evaluate(step)
-            return lambda: result
+        def submit(*jobs):
+            results = [evaluate(job) for job in jobs]
+            return lambda: results
         yield submit
         return
 
-    def evaluate_state(job):
-        step, state = job
+    def evaluate_state(job_state):
+        job, state = job_state
         model.set_eval_state(state)
-        return evaluate(step)
+        return evaluate(job)
 
     with _forked_pool(1, evaluate_state) as submit_job:
-        futures = []
+        unfinished = {}  # future -> (job, state) for each job not seen to finish
+        run_here = {}  # future -> result of a job taken back from the process
 
-        def submit(step):
-            for future in futures:
-                if future.done():
-                    future.result()  # raises an evaluation's exception, without waiting
-            futures.append(submit_job((step, model.eval_state())))
-            return futures[-1].result
+        def submit(*jobs):
+            for future in [f for f in unfinished if f.done()]:
+                future.result()  # raises a job's exception, without waiting
+                del unfinished[future]
+            state = model.eval_state()  # one copy for all the jobs
+            futures = [submit_job((job, state)) for job in jobs]
+            unfinished.update((future, (job, state)) for future, job in zip(futures, jobs))
+            return partial(results, futures)
+
+        def results(futures):
+            for taken, (job, state) in list(unfinished.items()):  # oldest first
+                del unfinished[taken]
+                if taken.cancel():  # False once the process has started it
+                    model.set_eval_state(state)
+                    run_here[taken] = evaluate(job)
+            return [run_here[f] if f in run_here else f.result() for f in futures]
         yield submit
 
 
@@ -262,15 +278,20 @@ def run_continual(corpus, base_model, strategy_name, cfg, seed):
     diverge_flags = f"--stream-lr ({cfg.stream_learning_rate:g})" + (
         f" or --lambda ({cfg.ewc_lambda:g})" if strategy_name in ("ewc", "ewc-fbn") else "")
 
-    def evaluate(step):
-        probe = ev.validation_probe(model, corpus.validation, step, strategy.name, seed) \
-            if step in probe_at else []
-        return probe, ev.task_accuracies(model, corpus.test) if step in r_rows_at else None
+    def evaluate(job):
+        step, split = job
+        if split == "validation":
+            return ev.validation_probe(model, corpus.validation, step, strategy.name, seed)
+        return ev.task_accuracies(model, corpus.test)
+
+    def jobs(step):  # the probe and the R-row are separate jobs, so two cores can share them
+        return [(step, split) for split, steps in (("validation", probe_at), ("test", r_rows_at))
+                if step in steps]
 
     rows = []
-    evaluations = []  # (position in rows, step, call giving evaluate(step))
+    evaluations = []  # (position in rows, step, call giving the results of jobs(step))
     with _evaluator(model, evaluate) as submit:
-        evaluations.append((0, 0, submit(0)))
+        evaluations.append((0, 0, submit(*jobs(0))))
         # a diverging loss overflows on its way to NaN; the check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(1, total_steps + 1):
@@ -285,13 +306,14 @@ def run_continual(corpus, base_model, strategy_name, cfg, seed):
                           "split": "train", "metric": metric, "value": value}
                          for metric, value in report.items()]
                 if step in probe_at or step in r_rows_at:
-                    evaluations.append((len(rows), step, submit(step)))
-        evaluations = [(at, step, result()) for at, step, result in evaluations]
+                    evaluations.append((len(rows), step, submit(*jobs(step))))
+        evaluations = [(at, step, results()) for at, step, results in evaluations]
     rmatrix = np.full((len(ev.R_ROWS), len(TASKS)), np.nan)
-    for at, step, (probe, accs) in reversed(evaluations):
-        rows[at:at] = probe
-        if accs is not None:
-            rmatrix[r_rows_at[step]] = accs
+    for at, step, results in reversed(evaluations):
+        if step in probe_at:
+            rows[at:at] = results[0]
+        if step in r_rows_at:
+            rmatrix[r_rows_at[step]] = results[-1]
     # the stream ends inside task C's pure segment; its checkpoint is the final step
     summary = {
         "strategy": strategy.name, "seed": seed,

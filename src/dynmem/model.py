@@ -58,7 +58,9 @@ class ConvNetClassifier:
         in_ch = 1
         for b, ch in enumerate(self.channels, start=1):
             for tag, stride, cin in (("conv1", 1, in_ch), ("conv2", 2, ch)):
-                conv = nn.Conv2d(cin, ch, 3, stride=stride, padding=1, rng=rng, dtype=dtype)
+                # nothing reads the gradient with respect to the images
+                conv = nn.Conv2d(cin, ch, 3, stride=stride, padding=1, rng=rng, dtype=dtype,
+                                 input_grad=(b, tag) != (1, "conv1"))
                 self.layers.append(conv)
                 self.layer_names.append(f"b{b}.{tag}")
                 if tag == "conv2":
@@ -141,11 +143,11 @@ class ConvNetClassifier:
 
     def backward(self, dlogits):
         """Backpropagate d(loss)/d(logits) through the last `forward_with_taps`,
-        in its mode; sets the layer grads."""
+        in its mode; sets the layer grads. The first conv computes no gradient
+        with respect to the images, so nothing is returned."""
         grad = np.asarray(dlogits, dtype=self.dtype)[:, None]
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
-        return grad
 
     # -- training ----------------------------------------------------------
 

@@ -75,23 +75,30 @@ def _conv_forward(x, w, stride, padding):
     return out, (cols if n <= CONV_BLOCK else None)
 
 
-def _conv_backward(x, cols, w, grad_out, stride, padding, per_example=False):
-    """(dx, dw) for _conv_forward's (x, cols). dw is one float64 GEMM on the
-    column matrix per block, summed over the batch, or (n, C_out, C_in, k, k)
-    with one gradient per example when per_example; it is float64 either way."""
+def _conv_backward(x, cols, w, grad_out, stride, padding, per_example=False, input_grad=True):
+    """(dx, dw) for _conv_forward's (x, cols); dx is None unless input_grad.
+    dw is one float64 GEMM on the column matrix per block, summed over the
+    batch, or (n, C_out, C_in, k, k) with one gradient per example when
+    per_example; it is float64 either way."""
     n, c_in = x.shape[:2]
     c_out, _, k, _ = w.shape
     oh, ow = grad_out.shape[2], grad_out.shape[3]
     xp = _pad(x, padding) if cols is None else None
-    dw = np.zeros((n, c_out, c_in * k * k) if per_example else (c_out, c_in * k * k))
+    # every example's rows are assigned; the batch sum starts from +0.0, as a sum does
+    dw = np.empty((n, c_out, c_in * k * k)) if per_example else np.zeros((c_out, c_in * k * k))
     for b in range(0, n, CONV_BLOCK):
-        g = grad_out[b : b + CONV_BLOCK].astype(np.float64)
-        m = len(g)
+        block = grad_out[b : b + CONV_BLOCK]
+        m = len(block)
         c = cols if cols is not None else _im2col(xp[b : b + CONV_BLOCK], k, stride, oh, ow)
         if per_example:
+            g = block.astype(np.float64)
             dw[b : b + m] = g.reshape(m, c_out, -1) @ c.reshape(-1, m, oh * ow).transpose(1, 2, 0)
-        else:
-            dw += g.transpose(1, 0, 2, 3).reshape(c_out, -1) @ c.T
+        else:  # cast to float64 and laid out (C_out, m, oh, ow) in one copy
+            g = np.empty((c_out, m, oh, ow))
+            np.copyto(g, block.transpose(1, 0, 2, 3))
+            dw += g.reshape(c_out, -1) @ c.T
+    if not input_grad:
+        return None, dw.reshape(dw.shape[:-1] + (c_in, k, k))
     # per-offset input gradient: measured faster than col2im at batch 8
     dxp = np.zeros((n, c_in, x.shape[2] + 2 * padding, x.shape[3] + 2 * padding), dtype=x.dtype)
     g2 = grad_out.reshape(n, c_out, oh * ow)
@@ -129,15 +136,18 @@ class Layer:
 class Conv2d(Layer):
     """Bias-free 2-D convolution layer, meant to feed a BatchNorm2d: the batch
     mean would cancel a bias (its gradient is identically zero in train mode)
-    and the norm's shift plays its role."""
+    and the norm's shift plays its role. A conv built with input_grad=False
+    (a network's first layer, whose input is the data) returns None from
+    `backward` and skips the input gradient's k*k products."""
 
     def __init__(self, in_channels, out_channels, kernel_size=3, stride=1, padding=1,
-                 rng=None, dtype=np.float32):
+                 rng=None, dtype=np.float32, input_grad=True):
         super().__init__()
         if kernel_size % 2 != 1:
             raise ShapeError(f"kernel must have odd size, got {kernel_size}")
         self.stride = stride
         self.padding = padding
+        self.input_grad = input_grad
         rng = rng or np.random.default_rng()
         # He initialization for ReLU networks
         scale = np.sqrt(2.0 / (in_channels * kernel_size * kernel_size))
@@ -159,11 +169,12 @@ class Conv2d(Layer):
         x, cols = self._cache
         self._cache = None  # the float64 columns are the largest cache: free them once used
         dx, dw = _conv_backward(x, cols, self.params["weight"], grad_out, self.stride,
-                                self.padding, per_example=sq_grads is not None)
+                                self.padding, per_example=sq_grads is not None,
+                                input_grad=self.input_grad)
         if sq_grads is None:
             self.grads["weight"] = dw.astype(self.params["weight"].dtype)
         else:
-            sq_grads["weight"] += np.square(dw).sum(axis=0)
+            sq_grads["weight"] += np.square(dw, out=dw).sum(axis=0)
         return dx
 
 
@@ -182,24 +193,30 @@ class BatchNorm2d(Layer):
         self.running_var = np.ones(channels, dtype=dtype)
 
     def forward(self, x, mode):
+        c = (slice(None), None, None)  # a channel vector as (C, 1, 1)
         if mode == "train":
             mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            xhat = np.subtract(x, mean[c])
+            # the variance as np.var takes it from these same deviations:
+            # square, sum, then divide by the count as an intp
+            var = np.square(xhat).sum(axis=(0, 2, 3))
+            np.true_divide(var, np.intp(x.size // len(var)), out=var, casting="unsafe")
             self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
             self.running_var += BN_MOMENTUM * (var - self.running_var)
         else:
-            mean = self.running_mean
+            xhat = np.subtract(x, self.running_mean[c])
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-        xhat = np.subtract(x, mean[None, :, None, None])
-        xhat *= inv_std[None, :, None, None]
+        xhat *= inv_std[c]
+        # "infer" keeps no xhat, so it scales and shifts in the same buffer
         self._cache = None if mode == "infer" else (xhat, inv_std, mode == "train")
-        out = self.params["scale"][None, :, None, None] * xhat
-        out += self.params["shift"][None, :, None, None]
+        out = np.multiply(xhat, self.params["scale"][c], out=xhat if mode == "infer" else None)
+        out += self.params["shift"][c]
         return out
 
     def backward(self, grad_out, sq_grads=None):
         xhat, inv_std, train = self._cache
+        c = (slice(None), None, None)
         if sq_grads is None:
             self.grads["scale"] = (grad_out * xhat).sum(axis=(0, 2, 3))
             self.grads["shift"] = grad_out.sum(axis=(0, 2, 3))
@@ -207,15 +224,18 @@ class BatchNorm2d(Layer):
             sq_grads["scale"] += np.square((grad_out * xhat).sum(axis=(2, 3)),
                                            dtype=np.float64).sum(axis=0)
             sq_grads["shift"] += np.square(grad_out.sum(axis=(2, 3)), dtype=np.float64).sum(axis=0)
-        g = grad_out * self.params["scale"][None, :, None, None]
-        if train:
+        g = grad_out * self.params["scale"][c]
+        if train:  # dx = inv_std * (g - sum_g / m - xhat * sum_gx / m), formed in g
             m = grad_out.shape[0] * grad_out.shape[2] * grad_out.shape[3]
             sum_g = g.sum(axis=(0, 2, 3), keepdims=True)
-            sum_gx = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
-            dx = inv_std[None, :, None, None] * (g - sum_g / m - xhat * sum_gx / m)
-        else:
-            dx = g * inv_std[None, :, None, None]
-        return dx
+            gx = g * xhat
+            sum_gx = gx.sum(axis=(0, 2, 3), keepdims=True)
+            g -= sum_g / m
+            np.multiply(xhat, sum_gx, out=gx)
+            gx /= m
+            g -= gx
+        g *= inv_std[c]
+        return g
 
 
 class ReLU(Layer):
@@ -299,8 +319,18 @@ class Adam:
                                  f"{np.shape(g)} differ")
             self.step_count[name] += 1
             t = self.step_count[name]
-            m = self.first_moment[name] = b1 * self.first_moment[name] + (1 - b1) * g
-            v = self.second_moment[name] = b2 * self.second_moment[name] + (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** t)
-            v_hat = v / (1 - b2 ** t)
-            p[...] = p - self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+            # in place, with the roundings of m = b1 m + (1 - b1) g,
+            # v = b2 v + ((1 - b2) g) g and p -= (lr m_hat) / (sqrt(v_hat) + eps)
+            m, v = self.first_moment[name], self.second_moment[name]
+            m *= b1
+            m += (1 - b1) * g
+            gg = (1 - b2) * g
+            gg *= g
+            v *= b2
+            v += gg
+            denom = np.sqrt(np.divide(v, 1 - b2 ** t, out=gg), out=gg)
+            denom += ADAM_EPSILON
+            step = m / (1 - b1 ** t)
+            step *= self.learning_rate
+            step /= denom
+            p -= step

@@ -491,9 +491,11 @@ def test_no_command_imports_scipy(tmp_path):
 @pytest.mark.skipif(not hasattr(os, "wait4") or sys.platform != "linux",
                     reason="page-fault counts of a child process are read through wait4")
 def test_training_steps_fault_in_no_fresh_pages(tmp_path):
-    """Each step's column matrices (4.7 MB of float64 at 32 pixels) reuse heap
-    memory: 16 more steps of base training fault in far fewer pages than one
-    fresh matrix, although every corpus file read is smaller than one."""
+    """Each step's column matrices reuse heap memory. The largest, b1.conv2's
+    (72 x 8*16*16 float64 at 32 pixels, 1.18 MB), would fault in 288 pages
+    each step if it were mapped afresh, although every corpus file read is
+    smaller than it: 16 more steps of base training must fault in fewer pages
+    than four such matrices, a quarter of one fresh matrix per step."""
     corpus = tmp_path / "corpus"
     assert main(["generate", "--out", str(corpus), "--base-n", "64", "--cont-a", "8",
                  "--cont-b", "8", "--cont-c", "8", "--eval-n", "4"]) == 0
@@ -508,8 +510,9 @@ def test_training_steps_fault_in_no_fresh_pages(tmp_path):
         assert os.waitstatus_to_exitcode(status) == 0
         return usage.ru_minflt
 
-    one_matrix = 8 * 72 * 32 * 32 * 8 // 4096  # pages of b1.conv2's column matrix
-    assert faults(3) - faults(1) < one_matrix
+    # b1.conv2: C_in * k * k = 72 rows, one column per output pixel of an 8-image block
+    largest_matrix = 72 * (8 * 16 * 16) * 8 // 4096  # 288 pages of float64
+    assert faults(3) - faults(1) < 4 * largest_matrix  # 1,152 pages
 
 
 def cli(log, *args, **popen):

@@ -2,6 +2,7 @@
 stream invariance across strategies and result schemas.
 """
 import ctypes
+import json
 import multiprocessing
 import os
 import re
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from dynmem import evaluation as ev
+from dynmem import experiment
 from dynmem.data import CorpusConfig, build_corpus
 from dynmem.evaluation import R_ROWS
 from dynmem.experiment import (ExperimentConfig, map_seeds, run_base_training, run_continual,
@@ -165,29 +167,69 @@ def test_run_continual_rejects_input_batch_larger_than_train_batch(corpus, base_
 
 
 @pytest.mark.skipif(usable_cores() < 2, reason="needs a spare core for the evaluator")
-def test_an_evaluator_failure_is_raised_with_its_message(corpus, cfg, base_model, monkeypatch):
+def test_an_evaluator_failure_is_raised_with_its_message(corpus, cfg, base_model, monkeypatch,
+                                                         tmp_path):
+    # a job that fails in the evaluator stops the stream at a later evaluation;
+    # one that fails after the parent has taken it back stops the run at its
+    # end. Either way the message is the job's own and the evaluator is reaped.
     parent, accuracy, step = os.getpid(), ev.accuracy, NaiveStrategy.step
-    steps = []
+    total_steps = (40 + 24 + 40) // cfg.input_batch_size
+    for failing_in in ("evaluator", "parent"):
+        steps, evaluator_pid = [], tmp_path / f"{failing_in}.pid"
 
-    def failing_in_a_child(model, images, labels, **kw):
-        if os.getpid() != parent:
-            raise ValueError(f"no accuracy in process {os.getpid()}")
-        return accuracy(model, images, labels, **kw)
+        def accuracy_failing_in_one_process(model, images, labels, **kw):
+            here = os.getpid()
+            if here != parent:
+                evaluator_pid.write_text(str(here))
+            if (here == parent) == (failing_in == "parent"):
+                raise ValueError(f"no accuracy in process {here}")
+            time.sleep(0.1)  # a slow evaluator leaves jobs for the parent to take back
+            return accuracy(model, images, labels, **kw)
 
-    def slow_step(self, *args, **kw):
-        steps.append(None)
-        time.sleep(0.1)  # time for the evaluator to fail at step 0
-        return step(self, *args, **kw)
+        def slow_step(self, *args, **kw):
+            steps.append(None)
+            if failing_in == "evaluator":
+                time.sleep(0.1)  # time for the evaluator to fail at step 0
+            return step(self, *args, **kw)
 
-    monkeypatch.setattr(ev, "accuracy", failing_in_a_child)
-    monkeypatch.setattr(NaiveStrategy, "step", slow_step)
-    with pytest.raises(ValueError, match=r"no accuracy in process \d+") as exc:
-        run_continual(corpus, base_model, "naive", cfg, seed=0)
-    # the failure stops the stream at a later evaluation, not after its last step
-    assert len(steps) < (40 + 24 + 40) // cfg.input_batch_size
-    assert multiprocessing.active_children() == []
-    with pytest.raises(ProcessLookupError):  # the evaluator has exited and been reaped
-        os.kill(int(re.search(r"\d+", str(exc.value)).group()), 0)
+        monkeypatch.setattr(ev, "accuracy", accuracy_failing_in_one_process)
+        monkeypatch.setattr(NaiveStrategy, "step", slow_step)
+        with pytest.raises(ValueError, match=r"no accuracy in process \d+") as exc:
+            run_continual(corpus, base_model, "naive", cfg, seed=0)
+        failed_in = int(re.search(r"\d+", str(exc.value)).group())
+        if failing_in == "evaluator":
+            # the failure stops the stream at a later evaluation, not after its last step
+            assert len(steps) < total_steps and failed_in != parent
+        else:
+            assert len(steps) == total_steps and failed_in == parent
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ProcessLookupError):  # the evaluator has exited and been reaped
+            os.kill(int(evaluator_pid.read_text()), 0)
+
+
+@pytest.mark.skipif(usable_cores() < 2, reason="needs a spare core for the evaluator")
+@pytest.mark.parametrize("strategy", ["ewc-fbn", "dm"])
+def test_jobs_the_parent_takes_back_give_the_bytes_of_a_one_core_run(corpus, cfg, base_model,
+                                                                     monkeypatch, strategy):
+    parent, task_accuracies = os.getpid(), ev.task_accuracies
+    in_parent = []
+
+    def slow_in_the_evaluator(model, split):
+        if os.getpid() == parent:
+            in_parent.append(None)
+        else:
+            time.sleep(0.2)  # the stream ends before the evaluator has started every job
+        return task_accuracies(model, split)
+
+    monkeypatch.setattr(ev, "task_accuracies", slow_in_the_evaluator)
+    shared = run_continual(corpus, base_model, strategy, cfg, seed=0)
+    assert in_parent  # the parent ran the jobs it took back
+    monkeypatch.setattr(experiment, "usable_cores", lambda: 1)
+    alone = run_continual(corpus, base_model, strategy, cfg, seed=0)
+    assert ev.rows_to_csv(shared.rows) == ev.rows_to_csv(alone.rows)  # metrics.csv
+    assert json.dumps(shared.summary) == json.dumps(alone.summary)  # summary.json
+    assert shared.rmatrix.tobytes() == alone.rmatrix.tobytes()
+    assert shared.memory_dump == alone.memory_dump
 
 
 # -- full training ---------------------------------------------------------

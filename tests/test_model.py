@@ -187,6 +187,28 @@ def test_frozen_norm_train_step_steps_with_the_eval_formula_gradient(small_model
                for n, p in batch_formula.named_params().items())
 
 
+@pytest.mark.parametrize("train", [True, False], ids=["train", "frozen-norm"])
+def test_the_first_conv_skips_the_image_gradient_and_every_gradient_keeps_its_bits(
+        small_model, images16, train):
+    # the oracle is the same model with the first conv's input gradient computed
+    y = np.array([0, 1, 0, 1, 0, 1])
+    small_model.train_step(images16, y)  # move running stats off the init values
+    with_dx = small_model.clone()
+    with_dx.layers[0].input_grad = True
+    convs = [layer for layer in small_model.layers if isinstance(layer, nn.Conv2d)]
+    assert [conv.input_grad for conv in convs] == [False] + [True] * (len(convs) - 1)
+    for model in (small_model, with_dx):
+        logits, _ = model.forward_with_taps(images16, train=train)
+        _, dlogits = nn.bce_loss(logits, y)
+        assert model.backward(dlogits / len(y)) is None
+    grads = with_dx.named_grads()
+    for n, g in small_model.named_grads().items():
+        assert g.dtype == grads[n].dtype and g.tobytes() == grads[n].tobytes(), n
+    fisher = with_dx.fisher_diagonal(images16, y)
+    for n, f in small_model.fisher_diagonal(images16, y).items():
+        assert f.tobytes() == fisher[n].tobytes(), n
+
+
 def test_clone_is_independent(small_model, images16):
     y = np.array([0, 1, 0, 1, 0, 1])
     clone = small_model.clone()

@@ -174,6 +174,68 @@ def test_conv_layer_backward_matches_finite_differences():
     assert err < 1e-6
 
 
+def conv_backward_out_of_place(x, w, grad_out, stride, padding, per_example=False):
+    """(dx, dw) by the earlier out-of-place kernel: per block, grad_out cast to
+    float64 and then transposed and reshaped into a second copy, dw summed
+    from zeros; kept as the bit oracle of nn._conv_backward."""
+    n, c_in = x.shape[:2]
+    c_out, _, k, _ = w.shape
+    oh, ow = grad_out.shape[2], grad_out.shape[3]
+    xp = nn._pad(x, padding)
+    dw = np.zeros((n, c_out, c_in * k * k) if per_example else (c_out, c_in * k * k))
+    for b in range(0, n, nn.CONV_BLOCK):
+        g = grad_out[b : b + nn.CONV_BLOCK].astype(np.float64)
+        m = len(g)
+        c = nn._im2col(xp[b : b + nn.CONV_BLOCK], k, stride, oh, ow)
+        if per_example:
+            dw[b : b + m] = g.reshape(m, c_out, -1) @ c.reshape(-1, m, oh * ow).transpose(1, 2, 0)
+        else:
+            dw += g.transpose(1, 0, 2, 3).reshape(c_out, -1) @ c.T
+    dxp = np.zeros((n, c_in, x.shape[2] + 2 * padding, x.shape[3] + 2 * padding), dtype=x.dtype)
+    g2 = grad_out.reshape(n, c_out, oh * ow)
+    for dy in range(k):
+        for dx in range(k):
+            dxp[:, :, dy : dy + stride * oh : stride, dx : dx + stride * ow : stride] += (
+                w[:, :, dy, dx].T @ g2).reshape(n, c_in, oh, ow)
+    dxp = dxp[:, :, padding:-padding, padding:-padding] if padding else dxp
+    return dxp, dw.reshape(dw.shape[:-1] + (c_in, k, k))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [3, nn.CONV_BLOCK, nn.CONV_BLOCK + 3])
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize("c_in,c_out,size,stride", MODEL_CONV_SHAPES[:4])
+def test_conv_backward_has_the_bits_of_the_out_of_place_kernel(c_in, c_out, size, stride,
+                                                                input_grad, n, dtype):
+    rng = np.random.default_rng(c_in + c_out + size + stride + n)
+    layer = nn.Conv2d(c_in, c_out, stride=stride, rng=rng, dtype=dtype, input_grad=input_grad)
+    x = rng.standard_normal((n, c_in, size, size)).astype(dtype)
+    w = layer.params["weight"]
+    grad_out = rng.standard_normal(layer.forward(x, "train").shape).astype(dtype)
+    dx_old, dw_old = conv_backward_out_of_place(x, w, grad_out, stride, 1)
+    dx = layer.backward(grad_out)
+    assert layer.grads["weight"].tobytes() == dw_old.astype(dtype).tobytes()
+    if input_grad:
+        assert dx.dtype == dx_old.dtype and dx.tobytes() == dx_old.tobytes()
+    else:
+        assert dx is None
+    # the Fisher path: each example's gradient, squared and summed in float64
+    sq = {"weight": np.zeros(w.shape)}
+    layer.forward(x, "eval")
+    dx = layer.backward(grad_out, sq)
+    _, per_example = conv_backward_out_of_place(x, w, grad_out, stride, 1, per_example=True)
+    assert sq["weight"].tobytes() == np.square(per_example).sum(axis=0).tobytes()
+    assert (dx is None) == (not input_grad)
+
+
+def test_a_standalone_conv_returns_its_input_gradient():
+    rng = np.random.default_rng(22)
+    layer = nn.Conv2d(1, 2, rng=rng)
+    x = rng.standard_normal((2, 1, 5, 5)).astype(np.float32)
+    dx = layer.backward(np.ones_like(layer.forward(x, "train")))
+    assert layer.input_grad and dx.shape == x.shape and dx.dtype == x.dtype
+
+
 # -- batch norm ------------------------------------------------------------
 
 def test_bn_constant_channel_maps_to_zero():
@@ -260,13 +322,58 @@ def test_bn_train_backward_matches_finite_differences():
     assert err < 1e-6
 
 
-def bn_with_running_stats(rng):
-    layer = nn.BatchNorm2d(3, dtype=np.float64)
-    layer.params["scale"][:] = rng.uniform(0.5, 1.5, 3)
-    layer.params["shift"][:] = rng.standard_normal(3)
-    layer.running_mean[:] = rng.standard_normal(3)
-    layer.running_var[:] = rng.uniform(0.5, 2.0, 3)
+def bn_with_running_stats(rng, channels=3, dtype=np.float64):
+    layer = nn.BatchNorm2d(channels, dtype=dtype)
+    layer.params["scale"][:] = rng.uniform(0.5, 1.5, channels)
+    layer.params["shift"][:] = rng.standard_normal(channels)
+    layer.running_mean[:] = rng.standard_normal(channels)
+    layer.running_var[:] = rng.uniform(0.5, 2.0, channels)
     return layer
+
+
+def bn_out_of_place(layer, x, grad_out, mode):
+    """(out, running mean, running var, dx, scale grad, shift grad) of a
+    forward in `mode` then a backward, by the earlier out-of-place formulas
+    (np.mean and np.var, four fresh buffers forward, seven backward) on a copy
+    of the layer's state; kept as the bit oracle of BatchNorm2d."""
+    c = (slice(None), None, None)
+    scale, shift = layer.params["scale"], layer.params["shift"]
+    running_mean, running_var = layer.running_mean.copy(), layer.running_var.copy()
+    if mode == "train":
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        running_mean += nn.BN_MOMENTUM * (mean - running_mean)
+        running_var += nn.BN_MOMENTUM * (var - running_var)
+    else:
+        mean, var = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(var + nn.BN_EPSILON)
+    xhat = (x - mean[c]) * inv_std[c]
+    out = scale[c] * xhat + shift[c]
+    g = grad_out * scale[c]
+    if mode == "train":
+        m = grad_out.shape[0] * grad_out.shape[2] * grad_out.shape[3]
+        sum_g = g.sum(axis=(0, 2, 3), keepdims=True)
+        sum_gx = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
+        dx = inv_std[c] * (g - sum_g / m - xhat * sum_gx / m)
+    else:
+        dx = g * inv_std[c]
+    return (out, running_mean, running_var, dx,
+            (grad_out * xhat).sum(axis=(0, 2, 3)), grad_out.sum(axis=(0, 2, 3)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("shape", [(5, 3, 4, 4), (8, 8, 32, 32), (8, 16, 16, 16), (3, 64, 3, 5)])
+def test_bn_forward_and_backward_have_the_bits_of_the_out_of_place_formulas(shape, mode, dtype):
+    rng = np.random.default_rng(sum(shape))
+    layer = bn_with_running_stats(rng, shape[1], dtype)
+    x = (rng.normal(size=shape) * 3 + 1).astype(dtype)
+    grad_out = rng.normal(size=shape).astype(dtype)
+    expected = bn_out_of_place(layer, x, grad_out, mode)
+    got = (layer.forward(x, mode), layer.running_mean, layer.running_var,
+           layer.backward(grad_out), layer.grads["scale"], layer.grads["shift"])
+    for name, a, b in zip(("out", "running mean", "running var", "dx", "scale grad",
+                           "shift grad"), got, expected):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_bn_backward_after_an_eval_forward_is_the_running_stats_affine_map():
@@ -453,6 +560,42 @@ def test_adam_dict_optimizer_updates_in_place():
     opt.step({"w": np.ones(4)})
     assert params["w"] is not before
     assert np.all(params["w"] < before)
+
+
+def adam_out_of_place(params, moments, counts, grads, learning_rate):
+    """The earlier Adam update, with a fresh array for every term; kept as
+    the bit oracle of Adam.step. Updates the given dicts."""
+    b1, b2 = nn.ADAM_BETA1, nn.ADAM_BETA2
+    for name, g in grads.items():
+        counts[name] += 1
+        t = counts[name]
+        m = moments[name][0] = b1 * moments[name][0] + (1 - b1) * g
+        v = moments[name][1] = b2 * moments[name][1] + (1 - b2) * g * g
+        m_hat = m / (1 - b1 ** t)
+        v_hat = v / (1 - b2 ** t)
+        params[name] = params[name] - learning_rate * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPSILON)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_steps_have_the_bits_of_the_out_of_place_update(dtype):
+    rng = np.random.default_rng(23)
+    shapes = {"conv.weight": (4, 2, 3, 3), "norm.scale": (4,), "norm.shift": (4,)}
+    params = {n: rng.standard_normal(s).astype(dtype) for n, s in shapes.items()}
+    expected = {n: p.copy() for n, p in params.items()}
+    moments = {n: [np.zeros_like(p), np.zeros_like(p)] for n, p in params.items()}
+    counts = dict.fromkeys(params, 0)
+    opt = nn.Adam(params, learning_rate=3e-3)
+    for step in range(6):
+        # steps 2 and 4 leave out the norm's names, as a frozen norm does
+        names = ["conv.weight"] if step in (2, 4) else list(params)
+        grads = {n: (rng.standard_normal(shapes[n]) * 10.0 ** -step).astype(dtype) for n in names}
+        opt.step(grads)
+        adam_out_of_place(expected, moments, counts, grads, 3e-3)
+        for n, p in params.items():
+            assert p.dtype == dtype and p.tobytes() == expected[n].tobytes(), (step, n)
+            assert opt.first_moment[n].tobytes() == moments[n][0].tobytes(), (step, n)
+            assert opt.second_moment[n].tobytes() == moments[n][1].tobytes(), (step, n)
+    assert opt.step_count == {"conv.weight": 6, "norm.scale": 4, "norm.shift": 4}
 
 
 # -- finite-difference checker ---------------------------------------------

@@ -43,6 +43,6 @@ def gram_distance(a, b):
 
 def signatures(model, X):
     """Gram signatures of a batch of images, one (B, N, N) stack per tap,
-    from a single eval-mode forward pass."""
-    _, taps = model.forward_with_taps(X, train=False)
+    from a single eval-mode forward pass that keeps no backward caches."""
+    _, taps = model.infer_with_taps(X)
     return [gram_matrix(t) for t in taps]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gram import gram_distance
-from .validation import ConfigError, ShapeError, StateError
+from .validation import ConfigError, ShapeError, StateError, check_labels
 
 
 @dataclass
@@ -61,65 +61,109 @@ class DynamicMemory:
     def class_count(self, label):
         return np.count_nonzero(self._column("label") == label)
 
-    def argmin_replacement_index(self, label, signature):
+    def argmin_replacement_index(self, label, signature, products=None):
         """(index, distance) of the same-class item with minimal gram distance
-        to the incoming signature; ties break to the lowest index (oldest)."""
+        to the incoming signature; ties break to the lowest index (oldest).
+        `products` is insert_batch's (est, rho, est row of each item, column)."""
         rows = np.flatnonzero(self._column("label") == label)
         if not rows.size:
             raise StateError(f"no stored item of class {label} to replace")
-        rows = self._screen(self._as_stored(signature), rows)
+        signature = self._as_stored(signature)
+        est, rho, ref, i = products or (*self._products([g[None] for g in signature]),
+                                        np.arange(self._size), 0)  # a batch of one
+        rows = self._screen(est[ref[rows], i], rho[ref[rows], i], rows)
         distances = gram_distance(signature, [g[rows] for g in self.grams])
         best = int(np.argmin(distances))
         return int(rows[best]), float(distances[best])
 
-    def _as_stored(self, signature):  # its taps in float64, as _screen's bound assumes
-        shapes, stored = [np.shape(g) for g in signature], [g.shape[1:] for g in self.grams]
+    def _as_stored(self, signature, batch=()):  # its taps in float64, as _screen's bound assumes
+        taps = ([np.shape(g)[len(batch):] for g in signature] if self.grams is None
+                else [g.shape[1:] for g in self.grams])  # the first sample sets the shapes
+        shapes, stored = [np.shape(g) for g in signature], [(*batch, *t) for t in taps]
         if shapes != stored:
             raise ShapeError(f"signatures have mismatched layer structure: {shapes} vs {stored}")
         return [np.asarray(g, np.float64) for g in signature]
 
-    def _screen(self, signature, rows):
-        """The `rows`, in order, that can hold the first minimum of the gram distance to
-        `signature`; all `rows` where a bound is not finite. est, the sum over T taps of
-        (|y|^2 + |x|^2 - 2y.x)/m (m = N*N), and gram_distance sum products y_i^2, x_i^2, y_i x_i or
-        (y_i - x_i)^2, each rounded <= k = max m + T + 2 times (m-term sum; add and subtract or
-        subtract and square; /m; tap sum): within g(k) = ku/(1-ku), u = 2**-53, of exact (Higham,
-        Accuracy and Stability of Numerical Algorithms, 3.1). As W = |y|^2 + |x|^2 >= |y-x|^2/2,
-        both are within 2g(k) sum W/m of sum |y-x|^2/m; rho, the computed sum of (|y|^2 + |x|^2)/m,
-        is >= (1 - g(k)) sum W/m: |distance - est| <= 5g(k)rho, and 8g(k)rho covers rounding
-        est +- radius. T*2**-1071 covers subnormals (7 errors of 2**-1075 per tap); 8k rho < inf
-        rules out overflow."""
-        size, k = self._size, max(g[0].size for g in self.grams) + len(self.grams) + 2
+    def _admit(self, images, signature, batch=()):
+        """`_as_stored(signature)` once the images have the stored shape; the
+        store is allocated after the first sample's checks."""
+        shape = images.shape[len(batch):] if self.grams is None else self._rows.dtype["image"].shape
+        if images.shape != (*batch, *shape):
+            raise ShapeError(f"image shape {images.shape[len(batch):]} differs from the stored "
+                             f"{shape}")
+        signature = self._as_stored(signature, batch)
+        if self.grams is None:
+            self._rows = _records(self.capacity, np.zeros(shape, images.dtype))
+            self.grams = [np.zeros((self.capacity, *g.shape[len(batch):])) for g in signature]
+            self._norms = np.zeros((len(signature), self.capacity))
+        return signature
+
+    def _products(self, stacks):
+        """`_screen`'s est and rho against B signatures (per tap a (B, N, N) float64 stack) for
+        the stored rows and then the B themselves, (size + B, B) each, from two products per tap."""
+        size, b = self._size, len(stacks[0])
         est = rho = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            for g, norms, x in zip(self.grams, self._norms, map(np.ravel, signature)):
-                c = norms[:size] + x @ x
-                est = est + (c - 2 * (g[:size].reshape(size, -1) @ x)) / x.size
-                rho = rho + c / x.size
-            radius = 8 * k / (2.0**53 - k) * rho[rows] + len(self.grams) * 2.0**-1071
-            kept = rows[est[rows] - radius <= (est[rows] + radius).min()]
-        return kept if np.isfinite(8 * k * rho[rows]).all() else rows
+            for g, norms, x in zip(self.grams, self._norms, stacks):
+                x = x.reshape(b, g[0].size)
+                mates = x @ x.T
+                dots = np.concatenate([g[:size].reshape(size, x.shape[1]) @ x.T, mates])
+                c = np.concatenate([norms[:size], mates.diagonal()])[:, None] + mates.diagonal()
+                est = est + (c - 2 * dots) / x.shape[1]
+                rho = rho + c / x.shape[1]
+        return est, rho
 
-    def insert(self, image, label, signature, step, task_id="?"):
-        """Store one incoming sample; append while the class quota is open,
-        otherwise replace the closest same-class item."""
-        image = np.asarray(image)
-        if self.grams is None:
-            self.grams = [np.zeros((self.capacity, *np.shape(g))) for g in signature]
-            self._norms = np.zeros((len(signature), self.capacity))
-            self._rows = _records(self.capacity, image)
-        signature = self._as_stored(signature)
-        if image.shape != self._rows.dtype["image"].shape:
-            raise ShapeError(f"image shape {image.shape} differs from the stored "
-                             f"{self._rows.dtype['image'].shape}")
+    def _screen(self, est, rho, rows):
+        """The `rows`, in order, that can hold the first minimum of the gram distance to an
+        incoming signature x, from `_products`' est and rho at those rows; all `rows` where a
+        bound is not finite. est, the sum over T taps of (|y|^2 + |x|^2 - 2y.x)/m (m = N*N), and
+        gram_distance sum products y_i^2, x_i^2, y_i x_i or (y_i - x_i)^2, in any order, each
+        rounded <= k = max m + T + 2 times (m-term sum; add and subtract or subtract and square;
+        /m; tap sum): within g(k) = ku/(1-ku), u = 2**-53, of exact (Higham, Accuracy and
+        Stability of Numerical Algorithms, 3.1). As W = |y|^2 + |x|^2 >= |y-x|^2/2, both are
+        within 2g(k) sum W/m of sum |y-x|^2/m; rho, the computed sum of (|y|^2 + |x|^2)/m, is
+        >= (1 - g(k)) sum W/m: |distance - est| <= 5g(k)rho, and 8g(k)rho covers rounding
+        est +- radius. T*2**-1071 covers subnormals (7 errors of 2**-1075 per tap); 8k rho < inf
+        rules out overflow."""
+        k = max(g[0].size for g in self.grams) + len(self.grams) + 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            radius = 8 * k / (2.0**53 - k) * rho + len(self.grams) * 2.0**-1071
+            kept = rows[est - radius <= (est + radius).min()]
+        return kept if np.isfinite(8 * k * rho).all() else rows
+
+    def insert(self, image, label, signature, step, task_id="?", products=None):
+        """Store one incoming sample of label 0 or 1; append while the class quota
+        is open, otherwise replace the closest same-class item. `products`: see argmin."""
+        [label], image = check_labels(label, 1, "memory label"), np.asarray(image)
+        signature = self._admit(image, signature)
         if self.class_count(label) < self.quota:
             outcome = InsertOutcome("appended", self._size)
             self._size += 1
         else:
-            outcome = InsertOutcome("replaced", *self.argmin_replacement_index(label, signature))
+            outcome = InsertOutcome("replaced",
+                                    *self.argmin_replacement_index(label, signature, products))
         self._rows[outcome.index] = (image, label, step, task_id, outcome.distance)
         self._store(outcome.index, signature)
         return outcome
+
+    def insert_batch(self, images, labels, signatures, step, tasks=None):
+        """Store a batch in order, one `insert` per sample, with the screen's
+        products made once for the whole batch; the batch is checked before
+        anything is stored. `signatures` holds one (B, N, N) stack per tap.
+        Returns each sample's InsertOutcome."""
+        images, labels = np.asarray(images), check_labels(labels, name="memory labels")
+        tasks = ["?"] * len(labels) if tasks is None else tasks
+        if len(tasks) != len(labels):
+            raise ShapeError(f"{len(tasks)} tasks for {len(labels)} samples")
+        stacks = self._admit(images, signatures, labels.shape)
+        est, rho = self._products(stacks)
+        ref, size = np.arange(self.capacity), self._size  # ref: the est row of each item
+        outcomes = []
+        for i, (image, label) in enumerate(zip(images, labels)):
+            outcomes.append(self.insert(image, label, [g[i] for g in stacks], step, tasks[i],
+                                        (est, rho, ref, i)))
+            ref[outcomes[-1].index] = size + i
+        return outcomes
 
     def _store(self, index, stacks):  # each tap's signatures and squared norms at `index`
         for g, norms, stack in zip(self.grams, self._norms, stacks):

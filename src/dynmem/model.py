@@ -133,6 +133,10 @@ class ConvNetClassifier:
         # frozen norm trains in eval mode; train_step drops its scale/shift grads
         return self._forward(X, "train" if train and not self.norm_frozen else "eval")
 
+    def infer_with_taps(self, X):
+        """`forward_with_taps(X)`'s logits and taps, keeping no caches for `backward`."""
+        return self._forward(X, "infer")
+
     def decision_function(self, X):
         """Eval-mode logits, from a forward that keeps no caches for `backward`."""
         return self._forward(X, "infer")[0]

@@ -9,7 +9,7 @@ import numpy as np
 
 from .gram import gram_matrix, signatures
 from .memory import DynamicMemory
-from .validation import ConfigError, StateError
+from .validation import ConfigError, StateError, check_labels
 
 
 class NaiveStrategy:
@@ -67,8 +67,9 @@ class EWCStrategy:
 class DMStrategy:
     """Gram-distance dynamic-memory rehearsal.
 
-    Per input batch: one eval-mode forward pass yields predictions and gram
-    signatures; every sample is inserted into the memory (update rules 1-3);
+    Per input batch: one eval-mode forward pass, which keeps no backward
+    caches, yields predictions and gram signatures; the memory stores the
+    batch, one insert per sample (update rules 1-3);
     the training batch is assembled from the misclassified samples plus
     uniform memory draws up to size T; one train-mode update follows. The
     memory update strictly precedes the model update.
@@ -85,22 +86,19 @@ class DMStrategy:
 
     def step(self, images, labels, tasks=None, *, rng):
         self.step_count += 1
-        images, labels = np.asarray(images), np.asarray(labels).astype(np.int64).reshape(-1)
+        images, labels = np.asarray(images), check_labels(labels, len(images), "labels")
         if len(labels) > self.train_batch_size:
             raise ConfigError(
                 f"input batch of {len(labels)} exceeds training batch size "
                 f"{self.train_batch_size}"
             )
-        if tasks is None:
-            tasks = ["?"] * len(labels)
         # shared eval-mode pass: predictions and signatures under the current model
-        logits, taps = self.model.forward_with_taps(images, train=False)
+        logits, taps = self.model.infer_with_taps(images)
         preds = (logits > 0).astype(np.int64)
         grams = [gram_matrix(t) for t in taps]
         if self.recompute_signatures:
             self.memory.refresh_signatures(lambda X: signatures(self.model, X), labels=labels)
-        for i, (img, lab, task) in enumerate(zip(images, labels, tasks)):
-            self.memory.insert(img, lab, [g[i] for g in grams], self.step_count, task)
+        self.memory.insert_batch(images, labels, grams, self.step_count, tasks)
         mis = preds != labels
         n_mis = int(mis.sum())
         drawn_images, drawn_labels = self.memory.draw_rehearsal(self.train_batch_size - n_mis, rng)

@@ -45,8 +45,9 @@ def check_images(X, image_size=None, name="X"):
 def check_labels(y, n=None, name="y"):
     """Validate binary labels, returning a flat int array of 0/1."""
     y = np.asarray(y).reshape(-1)
-    if y.size and not np.isin(y, (0, 1)).all():
-        raise ValueError(f"{name} must contain only 0/1 labels")
+    bad = y[(y != 0) & (y != 1)]
+    if bad.size:
+        raise ConfigError(f"{name} must contain only 0/1 labels, got {bad.tolist()[0]!r}")
     y = y.astype(np.int64)
     if n is not None and y.shape[0] != n:
         raise ShapeError(f"{name} has {y.shape[0]} labels for {n} samples")

@@ -220,7 +220,9 @@ def test_screened_search_equals_the_scan_on_gram_signatures_and_keeps_one_row():
         signature, label = [gram_matrix(f) for f in feature_maps], step % 2
         if mem.class_count(label) >= mem.quota:
             assert_search_is_the_scan(mem, label, signature)
-            assert mem._screen(signature, np.flatnonzero(mem.items.label == label)).size == 1
+            rows = np.flatnonzero(mem.items.label == label)
+            est, rho = mem._products([g[None] for g in signature])
+            assert mem._screen(est[rows, 0], rho[rows, 0], rows).size == 1
         mem.insert(np.zeros((1, 2, 2)), label, signature, step)
 
 
@@ -307,3 +309,188 @@ def test_screened_search_on_float32_signatures():
     fill_signatures(mem, [0, 1] * 8, [near() for _ in range(16)])
     for _ in range(10):
         assert_search_is_the_scan(mem, 0, near())
+
+
+# -- labels other than 0 or 1 -------------------------------------------------
+
+def contents(mem):
+    """Everything the memory holds, rows past its size included, as comparable values."""
+    if mem.grams is None:
+        return None
+    rows = mem._rows
+    return (len(mem), [rows[f].tobytes() for f in ("image", "label", "step", "distance")],
+            rows["task_id"].tolist(), [g.tobytes() for g in mem.grams], mem._norms.tobytes())
+
+
+@pytest.mark.parametrize("bad", [0.5, -1, 2])
+@pytest.mark.parametrize("full", [False, True])
+def test_a_label_other_than_0_or_1_is_refused_before_anything_is_stored(bad, full):
+    # before the fix 0.5 was stored as 0, -1 became a third class, and 2 on a
+    # full memory raised IndexError with the size already past the capacity
+    mem = DynamicMemory(4)
+    if full:
+        fill_class(mem, 0, [1.0, 2.0])
+        fill_class(mem, 1, [3.0, 4.0])
+    before = contents(mem)
+    with pytest.raises(ConfigError, match=f"got {bad!r}$"):
+        mem.insert(np.zeros((1, 2, 2)), bad, sig(0.0), 9)
+    with pytest.raises(ConfigError, match=f"got {bad!r}$"):
+        mem.insert_batch(np.zeros((3, 1, 2, 2)), [0, bad, 1], [np.zeros((3, 1, 1))], 9)
+    assert contents(mem) == before and len(mem) == (4 if full else 0)
+
+
+# -- one update per batch against one insert per sample -------------------------
+
+def insert_each(mem, images, labels, stacks, step, tasks):
+    """The batch stored one `insert` per sample; each replacement is checked
+    against a scan over every same-class row first."""
+    outcomes = []
+    for i, label in enumerate(labels):
+        signature = [g[i] for g in stacks]
+        with np.errstate(invalid="ignore", over="ignore"):
+            if mem.class_count(label) >= mem.quota:
+                want = scan_all(mem, label, signature)
+            outcomes.append(mem.insert(images[i], label, signature, step, tasks[i]))
+        if outcomes[-1].kind == "replaced":
+            assert (outcomes[-1].index, np.float64(outcomes[-1].distance).tobytes()) == \
+                (want[0], np.float64(want[1]).tobytes())
+    return outcomes
+
+
+def assert_batches_match_each_insert(capacity, batches, between=None):
+    """Store `batches` of (labels, per-tap stacks) with insert_batch in one
+    memory and one insert per sample in another: equal outcomes (kind, index,
+    distance bits), items and per-tap stacks after every batch. Returns the
+    outcomes."""
+    batched, each = DynamicMemory(capacity), DynamicMemory(capacity)
+    seen = []
+    for step, (labels, stacks) in enumerate(batches):
+        if between:
+            between(batched, step)
+            between(each, step)
+        images = np.arange(len(labels) * 4.0).reshape(-1, 1, 2, 2) + 100 * step
+        tasks = [f"t{step}.{i}" for i in range(len(labels))]
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = batched.insert_batch(images, labels, stacks, step, tasks)
+        want = insert_each(each, images, labels, stacks, step, tasks)
+        assert [(o.kind, o.index, np.float64(o.distance).tobytes()) for o in got] == \
+            [(o.kind, o.index, np.float64(o.distance).tobytes()) for o in want]
+        assert contents(batched) == contents(each)
+        seen.append(got)
+    return seen
+
+
+def gram_batch(rng, b, sizes=(8, 16, 32, 64)):
+    """Per-tap (b, N, N) stacks of gram matrices of random feature maps."""
+    return [gram_matrix(rng.standard_normal((b, n, 3, 3))) for n in sizes]
+
+
+def evicted_batch_mates(outcomes):
+    """How many replacements overwrote a row stored earlier in the same batch."""
+    count = 0
+    for batch in outcomes:
+        written = set()
+        for o in batch:
+            count += o.kind == "replaced" and o.index in written
+            written.add(o.index)
+    return count
+
+
+@pytest.mark.parametrize("capacity", [4, 10, 32])
+def test_batches_match_each_insert_on_random_gram_signatures(capacity):
+    rng = np.random.default_rng(20 + capacity)
+    batches = [(rng.integers(0, 2, 8), gram_batch(rng, 8)) for _ in range(12)]
+    assert evicted_batch_mates(assert_batches_match_each_insert(capacity, batches)) > 0
+
+
+def test_batches_match_each_insert_on_near_duplicates():
+    # scalar signatures on a coarse grid: many rows tie or nearly tie, and
+    # later batch-mates often evict earlier ones
+    rng = np.random.default_rng(21)
+    batches = [(rng.integers(0, 2, 8), [rng.integers(0, 4, (8, 1, 1)) * 0.5])
+               for _ in range(40)]
+    assert evicted_batch_mates(assert_batches_match_each_insert(6, batches)) > 0
+
+
+def test_a_class_that_fills_in_the_middle_of_a_batch():
+    rng = np.random.default_rng(22)
+    labels = [np.array([0, 0, 0, 1]), np.array([0, 1, 0, 0, 1])]
+    outcomes = assert_batches_match_each_insert(8, [(y, gram_batch(rng, len(y))) for y in labels])
+    assert [o.kind for o in outcomes[1]] == ["appended", "appended", "replaced", "replaced",
+                                             "appended"]
+
+
+def test_a_batch_breaks_ties_to_the_oldest_row():
+    rng = np.random.default_rng(23)
+    same = gram_batch(rng, 1)
+    stacks = [np.repeat(g, 5, axis=0) for g in same]
+    outcomes = assert_batches_match_each_insert(6, [(np.zeros(3, np.int64), [g[:3] for g in stacks]),
+                                                    (np.zeros(5, np.int64), stacks)])
+    # every stored row is at distance 0: each sample replaces row 0, its batch-mate's row
+    assert [(o.kind, o.index, o.distance) for o in outcomes[1]] == [("replaced", 0, 0.0)] * 5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_batch_with_a_non_finite_signature_takes_the_fallback(bad):
+    rng = np.random.default_rng(24)
+    batches = []
+    for step in range(6):
+        stacks = gram_batch(rng, 8, sizes=(8, 16))
+        if step in (2, 4):
+            stacks[1][3, 2, 5] = bad  # stored, then evicted or kept; read by batch-mates
+        batches.append((np.array([0, 1] * 4), stacks))
+    assert_batches_match_each_insert(6, batches)
+
+
+def test_batches_match_each_insert_on_float32_signatures():
+    rng = np.random.default_rng(25)
+    base = gram_batch(rng, 1, sizes=(8, 16))
+    batches = [(rng.integers(0, 2, 8),
+                [(b + rng.standard_normal((8, *b.shape[1:])) * 1e-3).astype(np.float32)
+                 for b in base]) for _ in range(10)]
+    assert_batches_match_each_insert(8, batches)
+
+
+def test_a_batch_after_refresh_reads_the_refreshed_rows():
+    rng = np.random.default_rng(26)
+    refreshed = gram_batch(rng, 8, sizes=(8, 16))
+
+    def refresh(mem, step):
+        if step % 2:
+            mem.refresh_signatures(lambda images: [g[:len(images)] for g in refreshed],
+                                   labels={step % 4 // 2})
+
+    batches = [(rng.integers(0, 2, 8), gram_batch(rng, 8, sizes=(8, 16))) for _ in range(8)]
+    assert_batches_match_each_insert(8, batches, between=refresh)
+
+
+@pytest.mark.parametrize("capacity, size", [(2, 8), (4, 8), (6, 1), (32, 1)])
+def test_batches_of_one_and_memories_smaller_than_a_batch(capacity, size):
+    rng = np.random.default_rng(27 + capacity)
+    batches = [(rng.integers(0, 2, size), gram_batch(rng, size)) for _ in range(40 // size)]
+    assert_batches_match_each_insert(capacity, batches)
+
+
+def test_a_bad_batch_is_refused_and_leaves_the_memory_unchanged():
+    rng = np.random.default_rng(28)
+    mem = DynamicMemory(6)
+    mem.insert_batch(np.zeros((5, 1, 2, 2)), [0, 1, 0, 1, 0], gram_batch(rng, 5, (2, 3)), 0)
+    before = contents(mem)
+    good_images, good_labels = np.zeros((4, 1, 2, 2)), [0, 0, 1, 1]
+    good = gram_batch(rng, 4, (2, 3))
+    for images, labels, stacks, tasks, error in [
+            (good_images, good_labels, good[:1], None, "mismatched layer structure"),
+            (good_images, good_labels, [good[0], good[1][:3]], None, "mismatched layer structure"),
+            (good_images, good_labels, [good[0], good[1][:, :2, :2]], None, "mismatched layer"),
+            (np.zeros((4, 1, 3, 3)), good_labels, good, None, "image shape"),
+            (np.zeros((3, 1, 2, 2)), good_labels, good, None, "image shape"),
+            (good_images, [0, 0, 1, 3], good, None, "got 3"),
+            (good_images, [0, 0, 1], good, None, "image shape"),
+            (good_images, good_labels, good, ["a"] * 3, "3 tasks for 4 samples")]:
+        with pytest.raises((ShapeError, ConfigError), match=error):
+            mem.insert_batch(images, labels, stacks, 1, tasks)
+        assert contents(mem) == before
+    fresh = DynamicMemory(4)
+    with pytest.raises(ShapeError, match="mismatched layer structure"):
+        fresh.insert_batch(good_images, good_labels, [good[0], good[1][:3]], 0)
+    assert fresh.grams is None and len(fresh) == 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dynmem import nn
+from dynmem.gram import gram_matrix, signatures
 from dynmem.model import FISHER_CHUNK, NORM_STATS_BLOCK, ConvNetClassifier
 from dynmem.validation import ConfigError, DivergenceError, ShapeError, StateError
 from gradcheck import gradient_check
@@ -254,15 +255,24 @@ def test_eval_only_forwards_leave_no_caches(small_model, images16, call):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n", [1, 8, 150])
+@pytest.mark.parametrize("n", [1, 8, 32, 150])
 def test_cache_free_logits_have_the_bits_of_the_eval_forward(dtype, n):
     model = ConvNetClassifier(dtype=dtype, random_state=4)
     X = np.random.default_rng(n).random((n, 1, 32, 32)).astype(dtype)
     model.fit_norm_statistics(X)
-    expected, _ = model.forward_with_taps(X, train=False)
+    expected, expected_taps = model.forward_with_taps(X, train=False)
     logits = model.decision_function(X)
     assert logits.dtype == expected.dtype and logits.tobytes() == expected.tobytes()
     np.testing.assert_array_equal(model.predict(X), (expected > 0).astype(np.int64))
+    logits, taps = model.infer_with_taps(X)
+    assert cached_layers(model) == []
+    assert logits.tobytes() == expected.tobytes() and len(taps) == len(expected_taps) == 4
+    for tap, want in zip(taps, expected_taps):
+        assert tap.dtype == want.dtype and tap.shape == want.shape
+        assert tap.tobytes() == want.tobytes()
+    for stack, tap in zip(signatures(model, X), expected_taps):
+        assert stack.tobytes() == gram_matrix(tap).tobytes()
+    assert cached_layers(model) == []
 
 
 def test_fisher_after_a_predict_equals_fisher_before_it(small_model, images16):

@@ -4,6 +4,7 @@ normalization, and the dynamic-memory rehearsal step.
 import numpy as np
 import pytest
 
+from dynmem import nn
 from dynmem.experiment import ExperimentConfig
 from dynmem.gram import gram_matrix
 from dynmem.model import ConvNetClassifier
@@ -185,6 +186,16 @@ def test_dm_rejects_input_batch_larger_than_training_batch():
         strat.step(X, y, rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("bad", [0.5, -1, 2])
+def test_dm_refuses_a_label_other_than_0_or_1(bad):
+    # the step cast its labels to int64 first, so 0.5 was stored and trained on as 0
+    strat = DMStrategy(make_base_model(with_ewc=False), memory_size=8, train_batch_size=8)
+    X, y = batch(seed=18)
+    with pytest.raises(ConfigError, match=f"got {bad!r}$"):
+        strat.step(X, np.where(np.arange(8) == 3, bad, y), rng=np.random.default_rng(18))
+    assert len(strat.memory) == 0
+
+
 def test_dm_inserts_every_incoming_sample():
     strat = DMStrategy(make_base_model(with_ewc=False), memory_size=32, train_batch_size=8)
     rng = np.random.default_rng(10)
@@ -295,3 +306,27 @@ def test_dm_recompute_signatures_tracks_model_version():
             assert_rows_equal(strat.memory, j, signature)
         for j, signature in untouched.items():
             assert_rows_equal(strat.memory, j, signature)
+
+
+@pytest.mark.parametrize("refresh", [False, True])
+def test_dm_signature_forwards_keep_no_backward_caches(refresh):
+    """The step's batch forward and, with refresh on, the refresh forward
+    leave no conv, norm or ReLU cache for the update to find."""
+    model = make_base_model(with_ewc=False, seed=17)
+    strat = DMStrategy(model, memory_size=8, train_batch_size=8, recompute_signatures=refresh)
+    rng = np.random.default_rng(17)
+    found = []
+    train_step = model.train_step
+
+    def checking(X, y, *args, **kwargs):
+        found.append([name for name, layer in zip(model.layer_names, model.layers)
+                      if isinstance(layer, (nn.Conv2d, nn.BatchNorm2d, nn.ReLU))
+                      and layer._cache is not None])
+        return train_step(X, y, *args, **kwargs)
+
+    model.train_step = checking
+    for i in range(3):
+        for layer in model.layers:  # what the last update's forward left
+            layer._cache = None
+        strat.step(*batch(seed=700 + i), rng=rng)
+    assert found == [[], [], []] and len(strat.memory) == 8

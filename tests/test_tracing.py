@@ -49,3 +49,12 @@ def traced(tmp_path_factory):
 ])
 def test_traced_run_reports_a_nonzero_figure(traced, run_name, metric):
     assert traced[run_name][metric] > 0
+
+
+def test_traced_dm_run_counts_each_sample_insert(traced):
+    """The memory stores a batch at a time, but the tracer's memory figures
+    still count single samples: one `insert` span per sample, tagged when it
+    replaced, and the step's tag counting the samples still stored."""
+    dm = traced["dm"]
+    assert dm["memory.replaced"] > 0 and dm["gram.distance_calls"] > 0
+    assert 0 < dm["memory.insert_kept_ratio"] <= 1

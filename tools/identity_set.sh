@@ -7,7 +7,8 @@
 # The set is generate, train-base, continual for every strategy, sweep-memory
 # and full-training at --seeds 2, then three one-seed continual runs, which
 # evaluate in a forked process where a core is spare, and last a second, small
-# corpus at another seed and the smallest image size.
+# corpus at another seed and the smallest image size, with a base and two dm
+# runs on it whose memories are smaller than an input batch.
 #
 # A change that claims the same results runs this on the old and the new
 # tree and compares the two outputs with `diff -r OLD_OUT NEW_OUT`.
@@ -40,3 +41,9 @@ run continual "${one[@]}" --out one_dm32_refresh --strategy dm --memory 32 \
     --recompute-signatures
 run generate --out corpus15 --seed 7 --image-size 15 --base-n 31 --cont-a 21 --cont-b 13 \
     --cont-c 45 --eval-n 9
+small=(--corpus corpus15 --base runs15)
+run train-base --corpus corpus15 --out runs15 --seeds 2
+# a memory of 4 that each input batch of 8 overfills
+run continual "${small[@]}" --out small_dm4 --seeds 2 --strategy dm --memory 4
+run continual "${small[@]}" --out small_dm6_refresh --seeds 1 --strategy dm --memory 6 \
+    --batch 3 --train-batch 5 --recompute-signatures

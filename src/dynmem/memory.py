@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gram import gram_distance
-from .validation import ConfigError, ShapeError, StateError, check_labels
+from .validation import ConfigError, ShapeError, check_labels
 
 
 @dataclass
@@ -61,42 +61,24 @@ class DynamicMemory:
     def class_count(self, label):
         return np.count_nonzero(self._column("label") == label)
 
-    def argmin_replacement_index(self, label, signature, products=None):
-        """(index, distance) of the same-class item with minimal gram distance
-        to the incoming signature; ties break to the lowest index (oldest).
-        `products` is insert_batch's (est, rho, est row of each item, column)."""
-        rows = np.flatnonzero(self._column("label") == label)
-        if not rows.size:
-            raise StateError(f"no stored item of class {label} to replace")
-        signature = self._as_stored(signature)
-        est, rho, ref, i = products or (*self._products([g[None] for g in signature]),
-                                        np.arange(self._size), 0)  # a batch of one
-        rows = self._screen(est[ref[rows], i], rho[ref[rows], i], rows)
-        distances = gram_distance(signature, [g[rows] for g in self.grams])
-        best = int(np.argmin(distances))
-        return int(rows[best]), float(distances[best])
-
-    def _as_stored(self, signature, batch=()):  # its taps in float64, as _screen's bound assumes
-        taps = ([np.shape(g)[len(batch):] for g in signature] if self.grams is None
-                else [g.shape[1:] for g in self.grams])  # the first sample sets the shapes
-        shapes, stored = [np.shape(g) for g in signature], [(*batch, *t) for t in taps]
+    def _admit(self, images, stacks, n):
+        """Each tap's stack of `n` signatures in float64, as `_screen`'s bound assumes, once
+        the `n` images and the stacks have the stored shapes; the first batch sets them, and
+        the store is allocated after its checks."""
+        image = images.shape[1:] if self.grams is None else self._rows.dtype["image"].shape
+        if images.shape != (n, *image):
+            raise ShapeError(f"image shape {images.shape[1:]} differs from the stored {image}")
+        taps = ([np.shape(g)[1:] for g in stacks] if self.grams is None
+                else [g.shape[1:] for g in self.grams])
+        shapes, stored = [np.shape(g) for g in stacks], [(n, *t) for t in taps]
         if shapes != stored:
             raise ShapeError(f"signatures have mismatched layer structure: {shapes} vs {stored}")
-        return [np.asarray(g, np.float64) for g in signature]
-
-    def _admit(self, images, signature, batch=()):
-        """`_as_stored(signature)` once the images have the stored shape; the
-        store is allocated after the first sample's checks."""
-        shape = images.shape[len(batch):] if self.grams is None else self._rows.dtype["image"].shape
-        if images.shape != (*batch, *shape):
-            raise ShapeError(f"image shape {images.shape[len(batch):]} differs from the stored "
-                             f"{shape}")
-        signature = self._as_stored(signature, batch)
+        stacks = [np.asarray(g, np.float64) for g in stacks]
         if self.grams is None:
-            self._rows = _records(self.capacity, np.zeros(shape, images.dtype))
-            self.grams = [np.zeros((self.capacity, *g.shape[len(batch):])) for g in signature]
-            self._norms = np.zeros((len(signature), self.capacity))
-        return signature
+            self._rows = _records(self.capacity, np.zeros(image, images.dtype))
+            self.grams = [np.zeros((self.capacity, *t)) for t in taps]
+            self._norms = np.zeros((len(stacks), self.capacity))
+        return stacks
 
     def _products(self, stacks):
         """`_screen`'s est and rho against B signatures (per tap a (B, N, N) float64 stack) for
@@ -131,31 +113,33 @@ class DynamicMemory:
             kept = rows[est - radius <= (est + radius).min()]
         return kept if np.isfinite(8 * k * rho).all() else rows
 
-    def insert(self, image, label, signature, step, task_id="?", products=None):
-        """Store one incoming sample of label 0 or 1; append while the class quota
-        is open, otherwise replace the closest same-class item. `products`: see argmin."""
-        [label], image = check_labels(label, 1, "memory label"), np.asarray(image)
-        signature = self._admit(image, signature)
+    def insert(self, image, label, signature, step, task_id, products):
+        """Place one sample that `insert_batch` has checked: append while the class quota is
+        open, otherwise replace the same-class item of minimal gram distance, the oldest on a
+        tie. `products`: `_products`' est and rho, each item's est row and the sample's column."""
         if self.class_count(label) < self.quota:
             outcome = InsertOutcome("appended", self._size)
             self._size += 1
         else:
-            outcome = InsertOutcome("replaced",
-                                    *self.argmin_replacement_index(label, signature, products))
+            est, rho, ref, i = products
+            rows = np.flatnonzero(self._column("label") == label)
+            rows = self._screen(est[ref[rows], i], rho[ref[rows], i], rows)
+            distances = gram_distance(signature, [g[rows] for g in self.grams])
+            best = int(np.argmin(distances))
+            outcome = InsertOutcome("replaced", int(rows[best]), float(distances[best]))
         self._rows[outcome.index] = (image, label, step, task_id, outcome.distance)
         self._store(outcome.index, signature)
         return outcome
 
     def insert_batch(self, images, labels, signatures, step, tasks=None):
-        """Store a batch in order, one `insert` per sample, with the screen's
-        products made once for the whole batch; the batch is checked before
-        anything is stored. `signatures` holds one (B, N, N) stack per tap.
-        Returns each sample's InsertOutcome."""
+        """The only store (a lone sample is a batch of one): check the batch, then store it in
+        order, one `insert` per sample, with the screen's products made once for the batch.
+        `signatures` holds one (B, N, N) stack per tap. Returns each sample's InsertOutcome."""
         images, labels = np.asarray(images), check_labels(labels, name="memory labels")
         tasks = ["?"] * len(labels) if tasks is None else tasks
         if len(tasks) != len(labels):
             raise ShapeError(f"{len(tasks)} tasks for {len(labels)} samples")
-        stacks = self._admit(images, signatures, labels.shape)
+        stacks = self._admit(images, signatures, len(labels))
         est, rho = self._products(stacks)
         ref, size = np.arange(self.capacity), self._size  # ref: the est row of each item
         outcomes = []
@@ -165,9 +149,9 @@ class DynamicMemory:
             ref[outcomes[-1].index] = size + i
         return outcomes
 
-    def _store(self, index, stacks):  # each tap's signatures and squared norms at `index`
+    def _store(self, index, stacks):  # each tap's float64 signatures and squared norms at `index`
         for g, norms, stack in zip(self.grams, self._norms, stacks):
-            g[index] = stack = np.asarray(stack, np.float64)  # the norm of what is stored
+            g[index] = stack
             norms[index] = np.einsum("...ij,...ij->...", stack, stack)
 
     def draw_rehearsal(self, k, rng):
@@ -181,12 +165,14 @@ class DynamicMemory:
         """Recompute stored signatures in place under the current model
         (fidelity switch; default policy keeps insertion-time signatures),
         for the items whose label is in `labels` (all items if None).
-        `signature_fn(images)` gives one (K, N, N) stack per tap."""
+        `signature_fn(images)` gives one (K, N, N) stack per tap, of the
+        stored tap shapes, or ShapeError is raised before anything is written."""
         # list(): np.isin would take a set as one object
         rows = np.arange(len(self)) if labels is None else \
             np.flatnonzero(np.isin(self._column("label"), list(labels)))
         if rows.size:
-            self._store(rows, signature_fn(self._rows["image"][rows]))
+            images = self._rows["image"][rows]
+            self._store(rows, self._admit(images, signature_fn(images), rows.size))
 
     def dump(self):
         """Diagnostic text: one line per item {step, label, task, distance}."""

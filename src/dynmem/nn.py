@@ -127,7 +127,8 @@ class Layer:
 
     def backward(self, grad_out, sq_grads=None):
         """Gradient with respect to the input, in the mode of the last forward
-        that kept a cache. Parameter gradients, summed over the batch, replace
+        that kept a cache; conv, norm and ReLU free that cache, so each backward
+        follows its own forward. Parameter gradients, summed over the batch, replace
         `grads`; when `sq_grads` (a dict of float64 arrays, one per parameter)
         is given, each example's squared parameter gradient is added to it instead."""
         raise NotImplementedError
@@ -216,6 +217,7 @@ class BatchNorm2d(Layer):
 
     def backward(self, grad_out, sq_grads=None):
         xhat, inv_std, train = self._cache
+        self._cache = None  # a backward follows its own forward: free what it used
         c = (slice(None), None, None)
         if sq_grads is None:
             self.grads["scale"] = (grad_out * xhat).sum(axis=(0, 2, 3))
@@ -245,7 +247,8 @@ class ReLU(Layer):
         return x * positive
 
     def backward(self, grad_out, sq_grads=None):
-        return grad_out * self._cache
+        positive, self._cache = self._cache, None
+        return grad_out * positive
 
 
 class GlobalAvgPool(Layer):

@@ -69,10 +69,10 @@ class DMStrategy:
 
     Per input batch: one eval-mode forward pass, which keeps no backward
     caches, yields predictions and gram signatures; the memory stores the
-    batch, one insert per sample (update rules 1-3);
-    the training batch is assembled from the misclassified samples plus
-    uniform memory draws up to size T; one train-mode update follows. The
-    memory update strictly precedes the model update.
+    batch with one `insert_batch` (update rules 1-3); the training batch is
+    assembled from the misclassified samples plus uniform memory draws up to
+    size T; one train-mode update follows. The memory update strictly
+    precedes the model update.
     """
 
     name = "dm"
@@ -85,7 +85,6 @@ class DMStrategy:
         self.step_count = 0
 
     def step(self, images, labels, tasks=None, *, rng):
-        self.step_count += 1
         images, labels = np.asarray(images), check_labels(labels, len(images), "labels")
         if len(labels) > self.train_batch_size:
             raise ConfigError(
@@ -98,6 +97,7 @@ class DMStrategy:
         grams = [gram_matrix(t) for t in taps]
         if self.recompute_signatures:
             self.memory.refresh_signatures(lambda X: signatures(self.model, X), labels=labels)
+        self.step_count += 1  # only a batch that passed the checks and the forward counts
         self.memory.insert_batch(images, labels, grams, self.step_count, tasks)
         mis = preds != labels
         n_mis = int(mis.sum())

@@ -160,11 +160,13 @@ def test_memory_replacement_matches_exhaustive_argmin_at_scale():
                     ((gram_distance(sig, s), i)
                      for i, (lab, s) in enumerate(stored) if lab == label),
                     key=lambda t: (t[0], t[1]))[1]
-                outcome = mem.insert(np.zeros((1, 2, 2)), label, sig, step)
+                [outcome] = mem.insert_batch(np.zeros((1, 1, 2, 2)), [label], [sig[0][None]],
+                                             step)
                 assert outcome.kind == "replaced" and outcome.index == expected
                 stored[outcome.index] = (label, sig)
             else:
-                outcome = mem.insert(np.zeros((1, 2, 2)), label, sig, step)
+                [outcome] = mem.insert_batch(np.zeros((1, 1, 2, 2)), [label], [sig[0][None]],
+                                             step)
                 assert outcome.kind == "appended" and outcome.index == len(stored)
                 stored.append((label, sig))
             np.testing.assert_array_equal(mem.grams[0][outcome.index], sig[0])

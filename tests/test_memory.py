@@ -1,12 +1,14 @@
 """Tests for the dynamic rehearsal memory: fill phase, class quotas,
 gram-distance replacement and rehearsal draws.
 """
+import copy
+
 import numpy as np
 import pytest
 
 from dynmem.gram import gram_distance, gram_matrix
 from dynmem.memory import DynamicMemory
-from dynmem.validation import ConfigError, ShapeError, StateError
+from dynmem.validation import ConfigError, ShapeError
 
 
 def sig(value):
@@ -14,9 +16,15 @@ def sig(value):
     return [np.array([[float(value)]])]
 
 
+def insert_one(memory, image, label, signature, step, task_id="?"):
+    """A lone sample, stored as a batch of one: its InsertOutcome."""
+    return memory.insert_batch(np.asarray(image)[None], [label],
+                               [np.asarray(g)[None] for g in signature], step, [task_id])[0]
+
+
 def fill_class(memory, label, values, start_step=0):
     for i, v in enumerate(values):
-        memory.insert(np.zeros((1, 2, 2)), label, sig(v), start_step + i)
+        insert_one(memory, np.zeros((1, 2, 2)), label, sig(v), start_step + i)
 
 
 def test_capacity_must_be_at_least_two():
@@ -26,7 +34,7 @@ def test_capacity_must_be_at_least_two():
 
 def test_empty_memory_appends():
     mem = DynamicMemory(4)
-    outcome = mem.insert(np.zeros((1, 2, 2)), 0, sig(0.0), step=1)
+    outcome = insert_one(mem, np.zeros((1, 2, 2)), 0, sig(0.0), step=1)
     assert outcome.kind == "appended"
     assert len(mem) == 1
 
@@ -41,10 +49,10 @@ def test_fill_phase_appends_until_quota():
 
 def test_replacement_only_within_class():
     mem = DynamicMemory(2)  # quota 1 per class
-    mem.insert(np.zeros((1, 2, 2)), 0, sig(0.0), 0)
-    mem.insert(np.zeros((1, 2, 2)), 1, sig(100.0), 1)
+    insert_one(mem, np.zeros((1, 2, 2)), 0, sig(0.0), 0)
+    insert_one(mem, np.zeros((1, 2, 2)), 1, sig(100.0), 1)
     # the class-0 item is far closer, but an incoming 1 must replace the 1
-    outcome = mem.insert(np.zeros((1, 2, 2)), 1, sig(0.1), 2)
+    outcome = insert_one(mem, np.zeros((1, 2, 2)), 1, sig(0.1), 2)
     assert outcome.kind == "replaced"
     assert mem.items[outcome.index].label == 1
     assert mem.class_count(0) == mem.class_count(1) == 1
@@ -57,7 +65,7 @@ def test_replacement_targets_minimum_distance():
     fill_class(mem, 1, [0.0])
     mem2 = DynamicMemory(6)  # quota 3: class 0 is now full
     fill_class(mem2, 0, [2.0, np.sqrt(0.5), np.sqrt(2.0)])
-    outcome = mem2.insert(np.zeros((1, 2, 2)), 0, sig(0.0), 10)
+    outcome = insert_one(mem2, np.zeros((1, 2, 2)), 0, sig(0.0), 10)
     assert outcome.kind == "replaced"
     assert outcome.index == 1
     np.testing.assert_allclose(outcome.distance, 0.5)
@@ -66,14 +74,8 @@ def test_replacement_targets_minimum_distance():
 def test_equidistant_ties_break_to_oldest():
     mem = DynamicMemory(6)  # quota 3
     fill_class(mem, 0, [1.0, 1.0, 1.0])
-    assert mem.argmin_replacement_index(0, sig(0.0)) == (0, 1.0)
-
-
-def test_argmin_without_candidates_raises():
-    mem = DynamicMemory(4)
-    fill_class(mem, 0, [1.0])
-    with pytest.raises(StateError):
-        mem.argmin_replacement_index(1, sig(0.0))
+    outcome = insert_one(mem, np.zeros((1, 2, 2)), 0, sig(0.0), 3)
+    assert (outcome.kind, outcome.index, outcome.distance) == ("replaced", 0, 1.0)
 
 
 def test_randomized_inserts_match_bruteforce_argmin():
@@ -91,13 +93,13 @@ def test_randomized_inserts_match_bruteforce_argmin():
                 candidates = [(gram_distance(incoming, s), i)
                               for i, (lab, s) in enumerate(stored) if lab == label]
                 expected = min(candidates, key=lambda t: (t[0], t[1]))[1]
-                outcome = mem.insert(np.zeros((1, 2, 2)), label, incoming, step)
+                outcome = insert_one(mem, np.zeros((1, 2, 2)), label, incoming, step)
                 assert outcome.kind == "replaced"
                 assert outcome.index == expected
                 stored[outcome.index] = (label, incoming)
                 assert mem.grams[0][outcome.index] == incoming[0]
             else:
-                outcome = mem.insert(np.zeros((1, 2, 2)), label, incoming, step)
+                outcome = insert_one(mem, np.zeros((1, 2, 2)), label, incoming, step)
                 assert outcome.kind == "appended" and outcome.index == len(stored)
                 stored.append((label, incoming))
             assert [it.label for it in mem.items] == [lab for lab, _ in stored]
@@ -110,18 +112,18 @@ def test_randomized_inserts_match_bruteforce_argmin():
 
 def test_insert_rejects_a_signature_of_another_tap_structure():
     mem = DynamicMemory(4)
-    mem.insert(np.zeros((1, 2, 2)), 0, [np.zeros((2, 2)), np.zeros((3, 3))], 0)
+    insert_one(mem, np.zeros((1, 2, 2)), 0, [np.zeros((2, 2)), np.zeros((3, 3))], 0)
     for bad in ([np.zeros((2, 2))],
                 [np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((1, 1))],
                 [np.zeros((1, 1)), np.zeros((3, 3))],
                 [np.zeros((2, 2)), np.zeros((3, 4))]):
         for label in (0, 1):  # append (class 1 open) and replace (class 0 full after 2)
             with pytest.raises(ShapeError, match="mismatched layer structure"):
-                mem.insert(np.zeros((1, 2, 2)), label, bad, 1)
+                insert_one(mem, np.zeros((1, 2, 2)), label, bad, 1)
     for image in (np.zeros((1, 1, 1)), np.zeros((2, 2)), np.zeros((1, 2, 2, 1))):
         for label in (0, 1):  # a record field would broadcast (1, 1, 1) silently
             with pytest.raises(ShapeError, match="image shape"):
-                mem.insert(image, label, [np.zeros((2, 2)), np.zeros((3, 3))], 1)
+                insert_one(mem, image, label, [np.zeros((2, 2)), np.zeros((3, 3))], 1)
     assert len(mem) == 1
     assert not mem.grams[0][1:].any() and not mem.grams[1][1:].any()
 
@@ -129,9 +131,11 @@ def test_insert_rejects_a_signature_of_another_tap_structure():
 def test_search_rejects_a_signature_of_another_tap_structure():
     mem = DynamicMemory(4)
     fill_signatures(mem, [0, 0], [[np.eye(2), np.eye(3)], [np.ones((2, 2)), np.ones((3, 3))]])
+    before = contents(mem)
     for bad in ([np.eye(2)], [np.eye(2), np.eye(3), np.eye(1)], [np.eye(2), np.eye(4)]):
         with pytest.raises(ShapeError, match="mismatched layer structure"):
-            mem.argmin_replacement_index(0, bad)
+            insert_one(mem, np.zeros((1, 2, 2)), 0, bad, 2)  # class 0 is full: a replacement
+    assert contents(mem) == before
 
 
 def test_full_class_count_never_changes_again():
@@ -140,14 +144,14 @@ def test_full_class_count_never_changes_again():
     fill_class(mem, 0, rng.normal(size=3))
     fill_class(mem, 1, rng.normal(size=3))
     for step in range(50):
-        mem.insert(np.zeros((1, 2, 2)), int(rng.integers(0, 2)), sig(rng.normal()), step)
+        insert_one(mem, np.zeros((1, 2, 2)), int(rng.integers(0, 2)), sig(rng.normal()), step)
         assert mem.class_count(0) == 3 and mem.class_count(1) == 3
 
 
 def test_draw_rehearsal_bounds_and_determinism():
     mem = DynamicMemory(8)
     for i in range(3):  # each image holds its insertion position
-        mem.insert(np.full((1, 2, 2), float(i)), 0, sig(i), i)
+        insert_one(mem, np.full((1, 2, 2), float(i)), 0, sig(i), i)
     images, labels = mem.draw_rehearsal(0, np.random.default_rng(0))
     assert images.shape == (0, 1, 2, 2) and labels.shape == (0,)
     images, labels = mem.draw_rehearsal(8, np.random.default_rng(0))
@@ -164,7 +168,7 @@ def test_dump_lists_every_item():
     fill_class(mem, 0, [1.0, 2.0])
     fill_class(mem, 1, [3.0])
     # class 0 is full: sig(1.5) is 0.25 from both, so the older item goes
-    mem.insert(np.zeros((1, 2, 2)), 0, sig(1.5), 7, task_id="a-long-task-name")
+    insert_one(mem, np.zeros((1, 2, 2)), 0, sig(1.5), 7, task_id="a-long-task-name")
     assert mem.dump().split("\n") == ["step\tlabel\ttask\tdistance_at_replacement",
                                       "7\t0\ta-long-task-name\t0.25",
                                       "1\t0\t?\tnan",
@@ -184,6 +188,21 @@ def test_refresh_signatures_recomputes_selected_labels():
     assert mem.grams[0][:len(mem), 0, 0].tolist() == [9.0, 9.0, 3.0]
 
 
+@pytest.mark.parametrize("labels, shape", [(None, (3, 1, 1)), (None, (1, 2, 2)),
+                                           (None, (1, 1, 1)), ({0}, (3, 2, 2)),
+                                           ({0}, (1, 2, 2))])
+def test_refresh_refuses_stacks_of_another_shape(labels, shape):
+    # a (1, 1, 1) stack was broadcast into every row: all 9s, with norms of 81 for 324
+    mem = DynamicMemory(4)
+    fill_signatures(mem, [0, 0, 1], [[np.full((2, 2), v)] for v in (1.0, 2.0, 3.0)])
+    before = contents(mem)
+    with pytest.raises(ShapeError, match="mismatched layer structure"):
+        mem.refresh_signatures(lambda images: [np.full(shape, 9.0)], labels=labels)
+    with pytest.raises(ShapeError, match="mismatched layer structure"):
+        mem.refresh_signatures(lambda images: [np.full((len(images), 2, 2), 9.0)] * 2, labels)
+    assert contents(mem) == before
+
+
 # -- the screened replacement search against a scan over every same-class row --
 
 def scan_all(mem, label, signature):
@@ -196,16 +215,18 @@ def scan_all(mem, label, signature):
 
 
 def assert_search_is_the_scan(mem, label, signature):
+    """The replacement a lone sample of the full class `label` makes, in a copy
+    of `mem`, is the scan's: (index, distance)."""
     want_index, want_distance = scan_all(mem, label, signature)
-    index, distance = mem.argmin_replacement_index(label, signature)
-    assert index == want_index
-    assert np.float64(distance).tobytes() == np.float64(want_distance).tobytes()  # NaN too
-    return index, distance
+    outcome = insert_one(copy.deepcopy(mem), np.zeros((1, 2, 2)), label, signature, 99)
+    assert outcome.kind == "replaced" and outcome.index == want_index
+    assert np.float64(outcome.distance).tobytes() == np.float64(want_distance).tobytes()  # NaN
+    return outcome.index, outcome.distance
 
 
 def fill_signatures(mem, labels, signatures):
     for step, (label, signature) in enumerate(zip(labels, signatures)):
-        mem.insert(np.zeros((1, 2, 2)), label, signature, step)
+        insert_one(mem, np.zeros((1, 2, 2)), label, signature, step)
 
 
 def taps(rng, sizes=(8, 16, 32, 64), scale=1.0):
@@ -223,7 +244,7 @@ def test_screened_search_equals_the_scan_on_gram_signatures_and_keeps_one_row():
             rows = np.flatnonzero(mem.items.label == label)
             est, rho = mem._products([g[None] for g in signature])
             assert mem._screen(est[rows, 0], rho[rows, 0], rows).size == 1
-        mem.insert(np.zeros((1, 2, 2)), label, signature, step)
+        insert_one(mem, np.zeros((1, 2, 2)), label, signature, step)
 
 
 def test_screened_search_breaks_a_tie_of_equal_signatures_to_the_oldest():
@@ -270,7 +291,7 @@ def test_screened_search_with_a_non_finite_signature(bad):
     with np.errstate(invalid="ignore", over="ignore"):
         for incoming in (taps(rng), poisoned, signatures[2]):
             assert_search_is_the_scan(mem, 0, incoming)
-        mem.insert(np.zeros((1, 2, 2)), 0, poisoned, 9)  # a replacement still happens
+        insert_one(mem, np.zeros((1, 2, 2)), 0, poisoned, 9)  # a replacement still happens
     assert len(mem) == 8
 
 
@@ -283,7 +304,7 @@ def test_replacement_after_refresh_uses_the_refreshed_signatures():
     mem.refresh_signatures(lambda images: [np.array([3.0, 2.0, 1.0])[:, None, None]],
                            labels={0})
     assert assert_search_is_the_scan(mem, 0, sig(1.0)) == (2, 0.0)
-    assert mem.insert(np.zeros((1, 2, 2)), 0, sig(1.0), 9).index == 2
+    assert insert_one(mem, np.zeros((1, 2, 2)), 0, sig(1.0), 9).index == 2
 
 
 def test_gram_distance_of_a_subset_of_rows_has_the_full_stack_bits():
@@ -333,7 +354,7 @@ def test_a_label_other_than_0_or_1_is_refused_before_anything_is_stored(bad, ful
         fill_class(mem, 1, [3.0, 4.0])
     before = contents(mem)
     with pytest.raises(ConfigError, match=f"got {bad!r}$"):
-        mem.insert(np.zeros((1, 2, 2)), bad, sig(0.0), 9)
+        insert_one(mem, np.zeros((1, 2, 2)), bad, sig(0.0), 9)
     with pytest.raises(ConfigError, match=f"got {bad!r}$"):
         mem.insert_batch(np.zeros((3, 1, 2, 2)), [0, bad, 1], [np.zeros((3, 1, 1))], 9)
     assert contents(mem) == before and len(mem) == (4 if full else 0)
@@ -342,15 +363,15 @@ def test_a_label_other_than_0_or_1_is_refused_before_anything_is_stored(bad, ful
 # -- one update per batch against one insert per sample -------------------------
 
 def insert_each(mem, images, labels, stacks, step, tasks):
-    """The batch stored one `insert` per sample; each replacement is checked
-    against a scan over every same-class row first."""
+    """The batch stored as one batch of one per sample; each replacement is
+    checked against a scan over every same-class row first."""
     outcomes = []
     for i, label in enumerate(labels):
         signature = [g[i] for g in stacks]
         with np.errstate(invalid="ignore", over="ignore"):
             if mem.class_count(label) >= mem.quota:
                 want = scan_all(mem, label, signature)
-            outcomes.append(mem.insert(images[i], label, signature, step, tasks[i]))
+            outcomes.append(insert_one(mem, images[i], label, signature, step, tasks[i]))
         if outcomes[-1].kind == "replaced":
             assert (outcomes[-1].index, np.float64(outcomes[-1].distance).tobytes()) == \
                 (want[0], np.float64(want[1]).tobytes())
@@ -359,7 +380,7 @@ def insert_each(mem, images, labels, stacks, step, tasks):
 
 def assert_batches_match_each_insert(capacity, batches, between=None):
     """Store `batches` of (labels, per-tap stacks) with insert_batch in one
-    memory and one insert per sample in another: equal outcomes (kind, index,
+    memory and a batch of one per sample in another: equal outcomes (kind, index,
     distance bits), items and per-tap stacks after every batch. Returns the
     outcomes."""
     batched, each = DynamicMemory(capacity), DynamicMemory(capacity)

@@ -196,6 +196,20 @@ def test_dm_refuses_a_label_other_than_0_or_1(bad):
     assert len(strat.memory) == 0
 
 
+def test_a_refused_dm_step_does_not_advance_the_step_count():
+    # the count was bumped before the checks, so the next items carried step 2
+    strat = DMStrategy(make_base_model(with_ewc=False), memory_size=16, train_batch_size=8)
+    X, y = batch(seed=19)
+    rng = np.random.default_rng(19)
+    with pytest.raises(ConfigError, match="got 0.5$"):
+        strat.step(X, np.where(np.arange(8) == 3, 0.5, y), rng=rng)
+    with pytest.raises(ConfigError, match="exceeds training batch size"):
+        strat.step(*batch(seed=19, n=10), rng=rng)
+    assert strat.step_count == 0
+    strat.step(X, y, rng=rng)
+    assert strat.step_count == 1 and strat.memory.items.step.tolist() == [1] * 8
+
+
 def test_dm_inserts_every_incoming_sample():
     strat = DMStrategy(make_base_model(with_ewc=False), memory_size=32, train_batch_size=8)
     rng = np.random.default_rng(10)
@@ -325,8 +339,6 @@ def test_dm_signature_forwards_keep_no_backward_caches(refresh):
         return train_step(X, y, *args, **kwargs)
 
     model.train_step = checking
-    for i in range(3):
-        for layer in model.layers:  # what the last update's forward left
-            layer._cache = None
+    for i in range(3):  # the last update's backward has freed its forward's caches
         strat.step(*batch(seed=700 + i), rng=rng)
     assert found == [[], [], []] and len(strat.memory) == 8

@@ -21,7 +21,7 @@ from .data import CorpusConfig, TASKS, build_corpus, load_corpus, save_corpus
 from .experiment import (ExperimentConfig, map_seeds, run_base_training, run_continual,
                          run_full_training)
 from .model import ConvNetClassifier
-from .validation import ConfigError
+from .validation import ConfigError, check_fits
 
 DEFAULT_SWEEP_SIZES = (16, 32, 64, 80, 128, 160)
 
@@ -193,6 +193,14 @@ def _base_checkpoint(args, corpus, seed):
     return model
 
 
+def _check_memory_fits(flag, sizes, image_size):
+    """Refuse, before any checkpoint is loaded, a memory whose float32 images
+    alone exceed physical memory."""
+    for size in sizes:
+        check_fits(size * image_size ** 2 * 4,
+                   f"the {image_size}-pixel images that {flag} {size} stores")
+
+
 def cmd_generate(args):
     cfg = CorpusConfig(image_size=args.image_size, base_count=args.base_n,
                        continuous_counts=(args.cont_a, args.cont_b, args.cont_c),
@@ -240,6 +248,8 @@ def _continual_runs(args, cfg, corpus, strategy, out_dir):
 
 def cmd_continual(args):
     cfg, corpus = _config_and_corpus(args)
+    if args.strategy == "dm":
+        _check_memory_fits("--memory", [cfg.memory_size], cfg.image_size)
     name = f"dm_M{cfg.memory_size}" if args.strategy == "dm" else args.strategy
     _continual_runs(args, cfg, corpus, args.strategy, args.out / name)
     return 0
@@ -247,6 +257,7 @@ def cmd_continual(args):
 
 def cmd_sweep_memory(args):
     cfg, corpus = _config_and_corpus(args)
+    _check_memory_fits("--sizes", args.sizes, cfg.image_size)
     lines = ["M,acc_A,acc_B,acc_C,acc_avg,area_C"]
     for size in args.sizes:
         cfg.memory_size = size
@@ -312,6 +323,10 @@ def main(argv=None):
         return args.run(args)
     except (ConfigError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {args.command} ran out of memory" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
         return 1
 
 

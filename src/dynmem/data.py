@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .validation import ConfigError, ShapeError, read_container, write_container
+from .validation import (ConfigError, ShapeError, check_fits, read_container,
+                         write_container)
 
 TASKS = ("A", "B", "C")
 TASK_ATTRS = {"A": ("smooth", "low"), "B": ("sharp", "low"), "C": ("sharp", "high")}
@@ -53,7 +54,7 @@ class CorpusConfig:
 
     def __post_init__(self):
         check_ramp_fraction(self.ramp_fraction)
-        fit = int(np.ceil(self.sprite_size * self.scale_max * np.sqrt(2)))  # see imprint_target
+        fit = int(np.ceil(self.sprite_size * self.scale_max * np.sqrt(2)))  # see _draw_placement
         if self.image_size < fit:
             raise ConfigError(f"--image-size {self.image_size} is too small for the target "
                               f"sprite at its largest scale; the smallest that fits is {fit}")
@@ -146,13 +147,6 @@ def _backgrounds(modality, base, noise, cfg):
     return np.clip(img, 0.0, 1.0).astype(np.float32)
 
 
-def generate_background(modality, rng, cfg=CorpusConfig()):
-    """One background image for the given modality ("smooth" | "sharp")."""
-    shape = (1, cfg.image_size, cfg.image_size)
-    base, noise = rng.standard_normal(shape), rng.standard_normal(shape)
-    return _backgrounds(modality, base, noise, cfg)[0]
-
-
 def _draw_placement(rng, cfg, s):
     """An imprint's draws, in order: scale, rotation, top, left and offset."""
     scale = rng.uniform(cfg.scale_min, cfg.scale_max)
@@ -165,61 +159,53 @@ def _draw_placement(rng, cfg, s):
     return scale, theta, foot, top, left, rng.uniform(cfg.offset_min, cfg.offset_max)
 
 
-def _imprint(image, polarity, placement, cfg):
-    """Imprint a drawn placement into `image` in place."""
-    scale, theta, foot, top, left, offset = placement
-    if polarity == "low":
-        offset = -offset
-    elif polarity != "high":
+def _imprint(images, polarity, placements, cfg):
+    """Imprint the target sprite into the first len(placements) of the (N, S, S)
+    `images`, in place, one drawn placement each: the sprite's pixels gain +u
+    ("high") or -u ("low"), the placement's offset u, clamped to [0, 1]."""
+    if polarity not in ("low", "high"):
         raise ConfigError(f"unknown polarity {polarity!r}")
-    # inverse-map footprint pixels into the sprite frame (nearest neighbor)
-    dy = np.arange(foot)[:, None] - (foot - 1) / 2.0
-    dx = dy.T
+    if not placements:
+        return
+    scale, theta, foot, top, left, offset = map(np.array, zip(*placements))
+    # inverse-map footprint pixels into the sprite frame (nearest neighbor); the grids are
+    # padded to the largest footprint, a pad too far from the centre to lie `inside`
+    grid = np.arange(foot.max())
+    dy = grid[None, :, None] - (foot[:, None, None] - 1) / 2.0
+    dx = dy.transpose(0, 2, 1)
     sc = cfg.sprite_size / 2.0 - 0.5
-    cos, sin = np.cos(theta), np.sin(theta)
-    u = (cos * dy + sin * dx) / scale + sc
-    v = (-sin * dy + cos * dx) / scale + sc
-    ui = np.rint(u).astype(int)
-    vi = np.rint(v).astype(int)
+    cos, sin = np.cos(theta)[:, None, None], np.sin(theta)[:, None, None]
+    u = (cos * dy + sin * dx) / scale[:, None, None] + sc
+    v = (-sin * dy + cos * dx) / scale[:, None, None] + sc
+    ui, vi = np.rint(u).astype(int), np.rint(v).astype(int)
     inside = (ui >= 0) & (ui < cfg.sprite_size) & (vi >= 0) & (vi < cfg.sprite_size)
-    mask = np.zeros((foot, foot), dtype=bool)
+    mask = np.zeros(ui.shape, dtype=bool)
     mask[inside] = _plus_sprite(cfg.sprite_size)[ui[inside], vi[inside]]
-    region = image[..., top : top + foot, left : left + foot]
-    # a Python float offset: a float32 image stays float32
-    region[..., mask] = np.clip(region[..., mask] + offset, 0.0, 1.0)
-
-
-def imprint_target(image, polarity, rng, cfg=CorpusConfig()):
-    """Imprint the target sprite at a random location, rotation and scale.
-
-    The affected pixels gain +u ("high") or -u ("low"), u ~ U[offset_min,
-    offset_max]; the result is clamped to [0, 1]. Returns a new image.
-    """
-    out = np.array(image, copy=True)
-    _imprint(out, polarity, _draw_placement(rng, cfg, out.shape[-1]), cfg)
-    return out
+    n, y, x = np.nonzero(mask)
+    at = n, top[n] + y, left[n] + x
+    # the offset in the images' dtype, as a Python float is cast onto a float32 image
+    offset = (-offset if polarity == "low" else offset).astype(images.dtype)
+    images[at] = np.clip(images[at] + offset[n], 0.0, 1.0)
 
 
 def _make_samples(task, count, rng, cfg, id_start):
     """Balanced labeled samples for one task; exactly half are positives.
 
-    Each sample's draws come in turn (its base and noise fields, then a
-    positive's placement), so the stream of draws is one image at a time;
-    the backgrounds are then built and imprinted for the whole task at once.
+    The draws come one sample at a time: each positive's base and noise
+    fields, then its placement; then every negative's fields. The
+    backgrounds are then built and imprinted for the whole task at once.
     """
     modality, polarity = TASK_ATTRS[task]
-    n_pos = count // 2
-    labels = np.array([1] * n_pos + [0] * (count - n_pos), dtype=np.uint8)
-    s = cfg.image_size
-    base, noise = np.empty((2, count, s, s))
+    n_pos, s = count // 2, cfg.image_size
+    fields = np.empty((count, 2, s, s))  # base and noise of each sample
     placements = []
-    for i in range(count):
-        base[i], noise[i] = rng.standard_normal((s, s)), rng.standard_normal((s, s))
-        if i < n_pos:
-            placements.append(_draw_placement(rng, cfg, s))
-    images = _backgrounds(modality, base, noise, cfg)
-    for image, placement in zip(images, placements):
-        _imprint(image, polarity, placement, cfg)
+    for i in range(n_pos):
+        fields[i] = rng.standard_normal((2, s, s))
+        placements.append(_draw_placement(rng, cfg, s))
+    fields[n_pos:] = rng.standard_normal((count - n_pos, 2, s, s))
+    images = _backgrounds(modality, fields[:, 0], fields[:, 1], cfg)
+    _imprint(images, polarity, placements, cfg)
+    labels = np.repeat(np.array([1, 0], dtype=np.uint8), (n_pos, count - n_pos))
     order = rng.permutation(count)
     ids = np.arange(id_start, id_start + count, dtype=np.int64)
     return Dataset(images[order, None], labels[order], np.full(count, task), ids)
@@ -241,8 +227,14 @@ def build_corpus(cfg=CorpusConfig(), seed=0):
     """Deterministic {base, continuous, validation, test} corpus.
 
     Sample ids are disjoint across splits; labels are balanced 50/50 within
-    every split/task.
+    every split/task. A corpus whose float32 pixels alone exceed physical
+    memory is refused before anything is drawn.
     """
+    n = cfg.base_count + sum(cfg.continuous_counts) + 6 * cfg.eval_count
+    check_fits(n * cfg.image_size ** 2 * 4,
+               f"the float32 pixels of --image-size {cfg.image_size}, --base-n {cfg.base_count}, "
+               f"--cont-a/-b/-c {'/'.join(map(str, cfg.continuous_counts))} and --eval-n "
+               f"{cfg.eval_count}")
     rng = np.random.default_rng(seed)
     next_id = 0
     splits = {}

@@ -58,9 +58,6 @@ class DynamicMemory:
     def _column(self, field):  # by field name: a recarray view costs microseconds per access
         return self._rows[field][:self._size]
 
-    def class_count(self, label):
-        return np.count_nonzero(self._column("label") == label)
-
     def _admit(self, images, stacks, n):
         """Each tap's stack of `n` signatures in float64, as `_screen`'s bound assumes, once
         the `n` images and the stacks have the stored shapes; the first batch sets them, and
@@ -117,12 +114,12 @@ class DynamicMemory:
         """Place one sample that `insert_batch` has checked: append while the class quota is
         open, otherwise replace the same-class item of minimal gram distance, the oldest on a
         tie. `products`: `_products`' est and rho, each item's est row and the sample's column."""
-        if self.class_count(label) < self.quota:
+        rows = np.flatnonzero(self._column("label") == label)
+        if rows.size < self.quota:
             outcome = InsertOutcome("appended", self._size)
             self._size += 1
         else:
             est, rho, ref, i = products
-            rows = np.flatnonzero(self._column("label") == label)
             rows = self._screen(est[ref[rows], i], rho[ref[rows], i], rows)
             distances = gram_distance(signature, [g[rows] for g in self.grams])
             best = int(np.argmin(distances))

@@ -3,6 +3,7 @@ container that checkpoints and corpus splits are written in."""
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -21,6 +22,18 @@ class StateError(RuntimeError):
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
+
+
+def check_fits(nbytes, what):
+    """Refuse `nbytes` that alone exceed physical memory: ConfigError naming
+    `what` and both byte counts. Where os.sysconf cannot tell, accept."""
+    try:
+        total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if 0 < total < nbytes:
+        raise ConfigError(f"{what} need {nbytes:,} bytes, more than the {total:,} bytes "
+                          f"of physical memory")
 
 
 def check_images(X, image_size=None, name="X"):

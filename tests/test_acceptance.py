@@ -155,7 +155,7 @@ def test_memory_replacement_matches_exhaustive_argmin_at_scale():
         for step in range(2500):
             label = int(rng.integers(0, 2))
             sig = [rng.standard_normal((2, 2))]
-            if mem.class_count(label) >= mem.quota:
+            if np.count_nonzero(mem.items.label == label) >= mem.quota:
                 expected = min(
                     ((gram_distance(sig, s), i)
                      for i, (lab, s) in enumerate(stored) if lab == label),
@@ -172,7 +172,7 @@ def test_memory_replacement_matches_exhaustive_argmin_at_scale():
             np.testing.assert_array_equal(mem.grams[0][outcome.index], sig[0])
             assert [it.label for it in mem.items] == [lab for lab, _ in stored]
             assert len(mem) <= capacity
-            assert max(mem.class_count(0), mem.class_count(1)) <= mem.quota
+            assert max(np.count_nonzero(mem.items.label == k) for k in (0, 1)) <= mem.quota
             inserts_done += 1
     assert inserts_done == 10000
 

@@ -462,6 +462,36 @@ def test_image_size_too_small_for_the_sprite_is_runtime_error_naming_the_minimum
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, named", [
+    ("continual", ["--strategy", "dm", "--memory", str(10**15)], f"--memory {10**15}"),
+    ("sweep-memory", ["--sizes", "16", str(10**15)], f"--sizes {10**15}"),
+])
+def test_memory_larger_than_physical_memory_is_refused_before_the_checkpoint(
+        workspace, tmp_path, capsys, command, flags, named):
+    # 10**15 stored 32-pixel images need 4.1e18 bytes; --base holds no checkpoint
+    corpus, _ = workspace
+    base = tmp_path / "empty"
+    base.mkdir()
+    capsys.readouterr()
+    assert main([command, "--corpus", str(corpus), "--out", str(tmp_path / "out"),
+                 "--base", str(base), "--seeds", "1", *flags]) == 1
+    err = capsys.readouterr().err
+    assert named in err and "physical memory" in err
+    assert "checkpoint" not in err and "Traceback" not in err
+
+
+def test_running_out_of_memory_is_runtime_error_naming_the_command(tmp_path, capsys,
+                                                                   monkeypatch):
+    def out_of_memory(args):
+        raise MemoryError("Unable to allocate 87.3 TiB")
+
+    monkeypatch.setattr("dynmem.cli.cmd_generate", out_of_memory)
+    capsys.readouterr()
+    assert main(["generate", "--out", str(tmp_path / "corpus")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: generate ran out of memory: Unable to allocate 87.3 TiB\n"
+
+
 def test_no_command_imports_scipy(tmp_path):
     """The program needs numpy alone: no command, `generate` included, loads
     any scipy module (scipy is a test oracle only)."""

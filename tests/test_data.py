@@ -2,16 +2,19 @@
 corpus containers, including the generator calibration oracles.
 """
 import json
+import os
 import re
 
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter, median_filter
 
+from dynmem import data
 from dynmem.data import (CORPUS_FIELDS, CORPUS_MAGIC, TASKS, TASK_ATTRS, CorpusConfig,
-                         Dataset, _split_layout, build_corpus, emit_stream, generate_background,
-                         imprint_target, load_corpus, save_corpus)
-from dynmem.validation import ConfigError, ShapeError, read_container, write_container
+                         Dataset, _backgrounds, _draw_placement, _imprint, _split_layout,
+                         build_corpus, emit_stream, load_corpus, save_corpus)
+from dynmem.validation import (ConfigError, ShapeError, check_fits, read_container,
+                               write_container)
 
 SMALL = CorpusConfig(base_count=60, continuous_counts=(60, 40, 90), eval_count=20)
 
@@ -33,32 +36,54 @@ def threshold_accuracy(clean_values, imprinted_values):
     return best
 
 
+def backgrounds(modality, rng, n, cfg=CorpusConfig(), placements=None):
+    """n backgrounds, an (n, S, S) stack, drawn one image at a time as the
+    generator draws them: its base and noise fields, then, when a list of
+    `placements` is given, a target placement appended to it."""
+    s = cfg.image_size
+    fields = np.empty((n, 2, s, s))
+    for i in range(n):
+        fields[i] = rng.standard_normal((2, s, s))
+        if placements is not None:
+            placements.append(_draw_placement(rng, cfg, s))
+    return _backgrounds(modality, fields[:, 0], fields[:, 1], cfg)
+
+
+def with_targets(modality, polarity, rng, n, cfg=CorpusConfig()):
+    """n backgrounds and a copy with a target imprinted into each."""
+    placements = []
+    clean = backgrounds(modality, rng, n, cfg, placements)
+    out = clean.copy()
+    _imprint(out, polarity, placements, cfg)
+    return clean, out
+
+
 # -- backgrounds -----------------------------------------------------------
 
 def test_background_deterministic_per_seed():
-    a = generate_background("smooth", np.random.default_rng(7))
-    b = generate_background("smooth", np.random.default_rng(7))
+    a = backgrounds("smooth", np.random.default_rng(7), 4)
+    b = backgrounds("smooth", np.random.default_rng(7), 4)
     np.testing.assert_array_equal(a, b)
 
 
 def test_background_range_and_dtype():
     rng = np.random.default_rng(0)
     for modality in ("smooth", "sharp"):
-        img = generate_background(modality, rng)
+        img = backgrounds(modality, rng, 4)
         assert img.dtype == np.float32
-        assert img.shape == (32, 32)
+        assert img.shape == (4, 32, 32)
         assert img.min() >= 0.0 and img.max() <= 1.0
 
 
 def test_background_unknown_modality_raises():
-    with pytest.raises(ConfigError):
-        generate_background("blurry", np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="unknown modality 'blurry'"):
+        backgrounds("blurry", np.random.default_rng(0), 1)
 
 
 def test_background_mean_pixel_calibration():
     rng = np.random.default_rng(1)
     for modality in ("smooth", "sharp"):
-        means = [generate_background(modality, rng).mean() for _ in range(1000)]
+        means = backgrounds(modality, rng, 1000).mean(axis=(1, 2))
         assert 0.3 < np.mean(means) < 0.7
 
 
@@ -70,8 +95,8 @@ def test_modalities_separable_by_highpass_energy():
     def energy(img):
         return float(np.mean((img - gaussian_filter(img, 2.0)) ** 2))
 
-    smooth = np.array([energy(generate_background("smooth", rng)) for _ in range(1000)])
-    sharp = np.array([energy(generate_background("sharp", rng)) for _ in range(1000)])
+    smooth = np.array([energy(img) for img in backgrounds("smooth", rng, 1000)])
+    sharp = np.array([energy(img) for img in backgrounds("sharp", rng, 1000)])
     auc = np.mean(sharp[:, None] > smooth[None, :])
     assert auc > 0.9
 
@@ -79,41 +104,49 @@ def test_modalities_separable_by_highpass_energy():
 # -- target imprinting -----------------------------------------------------
 
 def test_imprint_high_polarity_raises_region_mean():
-    rng = np.random.default_rng(3)
-    base = generate_background("smooth", rng)
-    out = imprint_target(base, "high", np.random.default_rng(4))
-    changed = out != base
-    assert changed.any()
-    assert np.all(out[changed] >= base[changed])
+    base, out = with_targets("smooth", "high", np.random.default_rng(3), 5)
+    for image, before in zip(out, base):
+        changed = image != before
+        assert changed.any()
+        assert np.all(image[changed] >= before[changed])
 
 
 def test_imprint_low_polarity_clamps_at_zero():
-    rng = np.random.default_rng(5)
-    base = np.full((32, 32), 0.4, dtype=np.float32)
+    base, out = np.full((2, 5, 32, 32), 0.4, dtype=np.float32)
     cfg = CorpusConfig(offset_min=0.5, offset_max=0.5)
-    out = imprint_target(base, "low", rng, cfg)
+    rng = np.random.default_rng(5)
+    _imprint(out, "low", [_draw_placement(rng, cfg, 32) for _ in out], cfg)
     changed = out != base
+    assert changed.any(axis=(1, 2)).all()
     assert np.all(out[changed] == 0.0)
 
 
-def test_imprint_returns_new_image():
-    rng = np.random.default_rng(6)
-    base = generate_background("sharp", rng)
-    copy = base.copy()
-    imprint_target(base, "high", rng)
-    np.testing.assert_array_equal(base, copy)
+def test_task_imprint_is_each_image_imprinted_alone():
+    """Footprints of every size, down to the smallest scale and out to the
+    bottom-right corner: padding each to the largest one moves no pixel."""
+    cfg = CorpusConfig(image_size=24, scale_min=0.2, scale_max=1.5)
+    rng = np.random.default_rng(8)
+    placements = [_draw_placement(rng, cfg, 24) for _ in range(40)]
+    placements += [(*p[:3], 24 - p[2], 24 - p[2], p[5]) for p in placements[:10]]  # corner
+    images = backgrounds("sharp", rng, len(placements), cfg)
+    alone = images.copy()
+    for i, placement in enumerate(placements):
+        _imprint(alone[i : i + 1], "low", [placement], cfg)
+    _imprint(images, "low", placements, cfg)
+    assert len({p[2] for p in placements}) > 5
+    assert images.tobytes() == alone.tobytes()
 
 
-def test_imprint_unknown_polarity_raises():
-    with pytest.raises(ConfigError):
-        imprint_target(np.zeros((32, 32)), "medium", np.random.default_rng(0))
+def test_imprint_unknown_polarity_raises_also_without_placements():
+    with pytest.raises(ConfigError, match="unknown polarity 'medium'"):
+        _imprint(np.zeros((1, 32, 32)), "medium", [], CorpusConfig())
 
 
 def test_imprint_oversized_sprite_raises():
     # footprint ceil(7 * 1.5 * sqrt(2)) = 15 on an image smaller than the config's
     cfg = CorpusConfig(scale_min=1.5, scale_max=1.5)
-    with pytest.raises(ShapeError):
-        imprint_target(np.zeros((14, 14)), "high", np.random.default_rng(0), cfg)
+    with pytest.raises(ShapeError, match="footprint 15 does not fit into image of size 14"):
+        _draw_placement(np.random.default_rng(0), cfg, 14)
 
 
 def test_image_size_below_the_sprite_footprint_is_rejected():
@@ -127,20 +160,54 @@ def test_image_size_below_the_sprite_footprint_is_rejected():
     assert build_corpus(cfg, seed=0).base.images.shape == (4, 1, 15, 15)
 
 
+def draw_nothing(*args):
+    raise AssertionError("a sample was drawn")
+
+
+@pytest.mark.parametrize("cfg, named, nbytes", [
+    # (600 + 1950 + 6 * 150) images of 100000**2 float32 pixels: 125 TiB
+    (CorpusConfig(image_size=100000), "--image-size 100000", "138,000,000,000,000"),
+    # (600 + 1950 + 6 * 2e9) images of 32**2 float32 pixels: 45 TiB
+    (CorpusConfig(eval_count=2_000_000_000), "--eval-n 2000000000", "49,152,010,444,800"),
+])
+def test_corpus_larger_than_physical_memory_is_refused_before_a_draw(monkeypatch, cfg, named,
+                                                                     nbytes):
+    monkeypatch.setattr(data, "_make_samples", draw_nothing)
+    with pytest.raises(ConfigError, match="physical memory") as exc:
+        build_corpus(cfg, seed=0)
+    assert named in str(exc.value) and f"need {nbytes} bytes" in str(exc.value)
+
+
+def test_corpus_check_compares_with_the_physical_memory_sysconf_gives(monkeypatch):
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 100}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(data, "_make_samples", draw_nothing)
+    # SMALL holds 60 + 190 + 120 images of 32 * 32 float32 pixels
+    with pytest.raises(ConfigError, match="need 1,515,520 bytes, more than the 409,600 bytes"):
+        build_corpus(SMALL, seed=0)
+    pages["SC_PHYS_PAGES"] = 370
+    check_fits(1_515_520, "SMALL's pixels")  # 1,515,520 bytes fit into 1,515,520
+
+
+def test_where_sysconf_cannot_tell_the_physical_memory_every_size_is_accepted(monkeypatch):
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(os, "sysconf", unknown)
+    check_fits(1 << 100, "a size no machine holds")
+    monkeypatch.delattr(os, "sysconf")
+    check_fits(1 << 100, "a size no machine holds")
+
+
 @pytest.mark.parametrize("task", TASKS)
 def test_targets_separable_by_local_contrast_threshold(task):
     """Learnability calibration: imprinted vs clean images of every task are
     separable with accuracy > 0.95 by a threshold on a local-contrast count."""
     modality, polarity = TASK_ATTRS[task]
     rng = np.random.default_rng(0)
-    cfg = CorpusConfig()
-    clean = np.array([edge_count(generate_background(modality, rng, cfg))
-                      for _ in range(250)])
-    imprinted = np.array([
-        edge_count(imprint_target(generate_background(modality, rng, cfg),
-                                  polarity, rng, cfg))
-        for _ in range(250)
-    ])
+    clean = np.array([edge_count(img) for img in backgrounds(modality, rng, 250)])
+    _, targets = with_targets(modality, polarity, rng, 250)
+    imprinted = np.array([edge_count(img) for img in targets])
     assert threshold_accuracy(clean, imprinted) > 0.95
 
 

@@ -44,7 +44,7 @@ def test_fill_phase_appends_until_quota():
     fill_class(mem, 0, range(4))
     fill_class(mem, 1, range(4))
     assert len(mem) == 8
-    assert mem.class_count(0) == mem.class_count(1) == 4
+    assert [np.count_nonzero(mem.items.label == k) for k in (0, 1)] == [4, 4]
 
 
 def test_replacement_only_within_class():
@@ -55,7 +55,7 @@ def test_replacement_only_within_class():
     outcome = insert_one(mem, np.zeros((1, 2, 2)), 1, sig(0.1), 2)
     assert outcome.kind == "replaced"
     assert mem.items[outcome.index].label == 1
-    assert mem.class_count(0) == mem.class_count(1) == 1
+    assert [np.count_nonzero(mem.items.label == k) for k in (0, 1)] == [1, 1]
 
 
 def test_replacement_targets_minimum_distance():
@@ -89,7 +89,7 @@ def test_randomized_inserts_match_bruteforce_argmin():
         for step in range(400):
             label = int(rng.integers(0, 2))
             incoming = sig(rng.normal())
-            if mem.class_count(label) >= mem.quota:
+            if np.count_nonzero(mem.items.label == label) >= mem.quota:
                 candidates = [(gram_distance(incoming, s), i)
                               for i, (lab, s) in enumerate(stored) if lab == label]
                 expected = min(candidates, key=lambda t: (t[0], t[1]))[1]
@@ -106,8 +106,8 @@ def test_randomized_inserts_match_bruteforce_argmin():
             np.testing.assert_array_equal(mem.grams[0][:len(stored)],
                                           np.stack([s[0] for _, s in stored]))
             assert len(mem) <= capacity
-            assert mem.class_count(0) <= mem.quota
-            assert mem.class_count(1) <= mem.quota
+            assert np.count_nonzero(mem.items.label == 0) <= mem.quota
+            assert np.count_nonzero(mem.items.label == 1) <= mem.quota
 
 
 def test_insert_rejects_a_signature_of_another_tap_structure():
@@ -145,7 +145,7 @@ def test_full_class_count_never_changes_again():
     fill_class(mem, 1, rng.normal(size=3))
     for step in range(50):
         insert_one(mem, np.zeros((1, 2, 2)), int(rng.integers(0, 2)), sig(rng.normal()), step)
-        assert mem.class_count(0) == 3 and mem.class_count(1) == 3
+        assert [np.count_nonzero(mem.items.label == k) for k in (0, 1)] == [3, 3]
 
 
 def test_draw_rehearsal_bounds_and_determinism():
@@ -239,7 +239,7 @@ def test_screened_search_equals_the_scan_on_gram_signatures_and_keeps_one_row():
     for step in range(120):
         feature_maps = [rng.standard_normal((n, 4, 4)) for n in (8, 16, 32, 64)]
         signature, label = [gram_matrix(f) for f in feature_maps], step % 2
-        if mem.class_count(label) >= mem.quota:
+        if np.count_nonzero(mem.items.label == label) >= mem.quota:
             assert_search_is_the_scan(mem, label, signature)
             rows = np.flatnonzero(mem.items.label == label)
             est, rho = mem._products([g[None] for g in signature])
@@ -369,7 +369,7 @@ def insert_each(mem, images, labels, stacks, step, tasks):
     for i, label in enumerate(labels):
         signature = [g[i] for g in stacks]
         with np.errstate(invalid="ignore", over="ignore"):
-            if mem.class_count(label) >= mem.quota:
+            if np.count_nonzero(mem.items.label == label) >= mem.quota:
                 want = scan_all(mem, label, signature)
             outcomes.append(insert_one(mem, images[i], label, signature, step, tasks[i]))
         if outcomes[-1].kind == "replaced":

@@ -289,8 +289,8 @@ def test_dm_respects_quota_under_streaming():
         X, y = batch(seed=500 + i)
         strat.step(X, y, rng=rng)
         assert len(strat.memory) <= 8
-        assert strat.memory.class_count(0) <= 4
-        assert strat.memory.class_count(1) <= 4
+        assert np.count_nonzero(strat.memory.items.label == 0) <= 4
+        assert np.count_nonzero(strat.memory.items.label == 1) <= 4
 
 
 def test_dm_recompute_signatures_tracks_model_version():

@@ -8,7 +8,9 @@
 # and full-training at --seeds 2, then three one-seed continual runs, which
 # evaluate in a forked process where a core is spare, and last a second, small
 # corpus at another seed and the smallest image size, with a base and two dm
-# runs on it whose memories are smaller than an input batch.
+# runs on it whose memories are smaller than an input batch, and a last,
+# generate-only corpus with odd counts, a task of one sample that has no
+# positive, and one sample per evaluation task.
 #
 # A change that claims the same results runs this on the old and the new
 # tree and compares the two outputs with `diff -r OLD_OUT NEW_OUT`.
@@ -47,3 +49,5 @@ run train-base --corpus corpus15 --out runs15 --seeds 2
 run continual "${small[@]}" --out small_dm4 --seeds 2 --strategy dm --memory 4
 run continual "${small[@]}" --out small_dm6_refresh --seeds 1 --strategy dm --memory 6 \
     --batch 3 --train-batch 5 --recompute-signatures
+run generate --out corpus_edge --seed 3 --image-size 24 --base-n 1 --cont-a 3 --cont-b 5 \
+    --cont-c 1 --eval-n 1

@@ -228,16 +228,18 @@ def _continual_run(args, cfg, corpus, strategy, seed):
     return run_continual(corpus, _base_checkpoint(args, corpus, seed), strategy, cfg, seed)
 
 
-def _continual_runs(args, cfg, corpus, strategy, out_dir):
+def _continual_runs(args, cfg, corpus, strategy):
+    out_dir = args.out / (f"dm_M{cfg.memory_size}" if strategy == "dm" else strategy)
     summaries = []
     for result in map_seeds(partial(_continual_run, args, cfg, corpus, strategy), cfg.seeds()):
-        run_dir = out_dir / f"seed{result.seed}"
+        seed = result.summary["seed"]
+        run_dir = out_dir / f"seed{seed}"
         _write_rows(run_dir / "metrics.csv", result.rows)
         _write_json(run_dir / "summary.json", result.summary)
         if result.memory_dump is not None:
             (run_dir / "memory_dump.txt").write_text(result.memory_dump)
         summaries.append(result.summary)
-        print(f"{strategy} seed {result.seed}: accA={result.summary['acc_A']:.3f} "
+        print(f"{strategy} seed {seed}: accA={result.summary['acc_A']:.3f} "
               f"bwt={result.summary['bwt']:.3f}", file=sys.stderr)
     agg = ev.aggregate_summaries(summaries, ("acc_A", "acc_B", "acc_C", "bwt", "fwt", "area_C"))
     _write_json(out_dir / "summary.json",
@@ -250,8 +252,7 @@ def cmd_continual(args):
     cfg, corpus = _config_and_corpus(args)
     if args.strategy == "dm":
         _check_memory_fits("--memory", [cfg.memory_size], cfg.image_size)
-    name = f"dm_M{cfg.memory_size}" if args.strategy == "dm" else args.strategy
-    _continual_runs(args, cfg, corpus, args.strategy, args.out / name)
+    _continual_runs(args, cfg, corpus, args.strategy)
     return 0
 
 
@@ -261,7 +262,7 @@ def cmd_sweep_memory(args):
     lines = ["M,acc_A,acc_B,acc_C,acc_avg,area_C"]
     for size in args.sizes:
         cfg.memory_size = size
-        agg = _continual_runs(args, cfg, corpus, "dm", args.out / f"dm_M{size}")
+        agg = _continual_runs(args, cfg, corpus, "dm")
         accs = [agg[f"acc_{t}"]["mean"] for t in TASKS]
         row = (size, *accs, float(np.mean(accs)), agg["area_C"]["mean"])
         lines.append(",".join(str(v) for v in row))
@@ -273,7 +274,7 @@ def cmd_full_training(args):
     cfg, corpus = _config_and_corpus(args)
     summaries = []
     for result in map_seeds(partial(run_full_training, corpus, cfg), cfg.seeds()):
-        run_dir = args.out / "full" / f"seed{result.seed}"
+        run_dir = args.out / "full" / f"seed{result.summary['seed']}"
         _write_rows(run_dir / "metrics.csv", result.rows)
         _write_json(run_dir / "summary.json", result.summary)
         summaries.append(result.summary)

@@ -289,9 +289,10 @@ def emit_stream(continuous, ramp_fraction, rng):
         window[pick] = t_idx
         assignment[bounds[t_idx] - half : bounds[t_idx] + half] = window
     checkpoints = {task: int(end - half) - 1 for task, end, half in zip(TASKS, bounds, halves)}
-    # pop per-task samples in shuffled order
-    pools = [list(rng.permutation(np.nonzero(continuous.tasks == t)[0])) for t in TASKS]
-    order = np.array([pools[t_idx].pop() for t_idx in assignment], dtype=np.int64)
+    # each task's positions take its samples in shuffled order, read from the end
+    order = np.empty(len(assignment), dtype=np.int64)
+    for t_idx, task in enumerate(TASKS):
+        order[assignment == t_idx] = rng.permutation(np.nonzero(continuous.tasks == task)[0])[::-1]
     return order, checkpoints
 
 
@@ -354,7 +355,8 @@ def _check_values(path, a):
 
 def load_corpus(corpus_dir, splits=SPLITS):
     """Load the named splits of a corpus written by save_corpus, validating
-    the config hash and each split's values; the splits not named are None."""
+    each split's config hash, seed and image size against the manifest, and
+    its values; the splits not named are None."""
     corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / "manifest.json"
     if not manifest_path.exists():
@@ -374,8 +376,12 @@ def load_corpus(corpus_dir, splits=SPLITS):
     for split in splits:
         path = corpus_dir / f"{split}.dmc"
         header, a = read_container(path, CORPUS_MAGIC, "corpus container", _split_layout)
-        if header["config_hash"] != config_hash:
+        if header.get("config_hash") != config_hash:
             raise ConfigError(f"{path} config hash differs from the manifest")
+        for key, want in (("seed", seed), ("image_size", cfg.image_size)):
+            if header.get(key) != want:
+                raise ConfigError(f"{path} was written with {key} {header.get(key)}, but "
+                                  f"{manifest_path} has {key} {want}")
         _check_values(path, a)
         loaded[split] = Dataset(a["pixels"], a["labels"], np.array(TASKS)[a["tasks"]], a["ids"])
     return Corpus(**loaded, config=cfg, seed=seed)

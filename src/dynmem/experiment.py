@@ -166,13 +166,9 @@ def _call_inherited(seed):
 
 @dataclass
 class RunResult:
-    strategy: str
-    seed: int
     rows: list                # metric rows for the CSV
-    rmatrix: np.ndarray       # 4 checkpoints x 3 tasks, test accuracy
-    summary: dict
-    stream_ids: np.ndarray
-    memory_dump: str = None
+    summary: dict             # strategy, seed, accuracies and, for a stream run, the R-matrix
+    memory_dump: str = None   # the dm memory's final contents
 
 
 def run_base_training(corpus, cfg, seed, with_ewc=True):
@@ -325,8 +321,7 @@ def run_continual(corpus, base_model, strategy_name, cfg, seed):
         "area_C": ev.learning_curve_area(rows, "C", checkpoint_steps["B"]),
         "rmatrix": rmatrix.tolist(), "r_rows": list(ev.R_ROWS), "tasks": list(TASKS),
     }
-    dump = strategy.memory.dump() if strategy_name == "dm" else None
-    return RunResult(strategy.name, seed, rows, rmatrix, summary, continuous.ids[order], dump)
+    return RunResult(rows, summary, strategy.memory.dump() if strategy_name == "dm" else None)
 
 
 def run_full_training(corpus, cfg, seed):
@@ -347,4 +342,4 @@ def run_full_training(corpus, cfg, seed):
         "acc_A": accs[0], "acc_B": accs[1], "acc_C": accs[2],
         "bwt": None, "fwt": None,  # undefined for non-sequential training
     }
-    return RunResult("full", seed, rows, None, summary, np.array([], dtype=np.int64))
+    return RunResult(rows, summary)

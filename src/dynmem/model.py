@@ -44,8 +44,8 @@ class ConvNetClassifier:
         self.random_state = random_state
         self._build(np.random.default_rng(random_state))
         self.norm_frozen = False
-        self._anchor = None
-        self._fisher = None
+        self.fisher = None  # EWC's Fisher diagonal and anchor: name -> read-only array
+        self.anchor = None
         self.reset_optimizer()
 
     # -- construction ------------------------------------------------------
@@ -104,7 +104,8 @@ class ConvNetClassifier:
         return out
 
     def clone(self):
-        return copy.deepcopy(self)
+        """An independent copy that shares the read-only Fisher and anchor maps."""
+        return copy.deepcopy(self, {id(self.fisher): self.fisher, id(self.anchor): self.anchor})
 
     def eval_state(self):
         """Copies of what an eval-mode forward reads: parameters and running statistics."""
@@ -267,40 +268,25 @@ class ConvNetClassifier:
             grad = dlogits.astype(self.dtype)[:, None]
             for layer, sq in zip(reversed(self.layers), reversed(sums)):
                 grad = layer.backward(grad, sq)
-        self._fisher = {f"{lname}.{name}": (f / len(y)).astype(self.dtype)
-                        for lname, layer_sums in zip(self.layer_names, sums)
-                        for name, f in layer_sums.items()}
-        return self._fisher
-
-    @property
-    def fisher(self):
-        return self._fisher
-
-    @property
-    def anchor(self):
-        return self._anchor
+        self.fisher = _read_only({f"{lname}.{name}": (f / len(y)).astype(self.dtype)
+                                  for lname, layer_sums in zip(self.layer_names, sums)
+                                  for name, f in layer_sums.items()})
+        return self.fisher
 
     def snapshot_anchor(self):
         """Store an immutable copy of the current parameters. One-shot."""
-        if self._anchor is not None:
+        if self.anchor is not None:
             raise StateError("anchor already snapshotted")
-        anchor = {}
-        for name, p in self.named_params().items():
-            a = p.copy()
-            a.setflags(write=False)
-            anchor[name] = a
-        self._anchor = anchor
-        return anchor
+        self.anchor = _read_only({name: p.copy() for name, p in self.named_params().items()})
+        return self.anchor
 
     # -- checkpoint IO -----------------------------------------------------
 
     def _checkpoint_arrays(self):
         arrays = dict(self.named_params())
         arrays.update(self.running_stats())
-        if self._fisher is not None:
-            arrays.update({f"fisher.{n}": a for n, a in self._fisher.items()})
-        if self._anchor is not None:
-            arrays.update({f"anchor.{n}": a for n, a in self._anchor.items()})
+        for prefix, table in (("fisher.", self.fisher), ("anchor.", self.anchor)):
+            arrays.update({prefix + n: a for n, a in (table or {}).items()})
         return arrays
 
     def save(self, path, seed_provenance=None):
@@ -312,8 +298,8 @@ class ConvNetClassifier:
             "version": CHECKPOINT_VERSION,
             "hyper": self.get_params(),
             "norm_frozen": self.norm_frozen,
-            "has_fisher": self._fisher is not None,
-            "has_anchor": self._anchor is not None,
+            "has_fisher": self.fisher is not None,
+            "has_anchor": self.anchor is not None,
             "seed_provenance": seed_provenance,
             "arrays": [
                 {"name": n, "shape": list(arrays[n].shape), "dtype": arrays[n].dtype.name}
@@ -324,6 +310,12 @@ class ConvNetClassifier:
 
     @classmethod
     def load(cls, path):
+        """The model a checkpoint holds. Its arrays must be the model's
+        parameters and running statistics and, where the header says so, a
+        Fisher diagonal and an anchor of those parameters: no array more or
+        less, each of the model's shape and dtype, every value finite.
+        Anything else raises ConfigError naming the file, and the array
+        where one is at fault."""
         header, arrays = read_container(
             path, CHECKPOINT_MAGIC, "model checkpoint",
             lambda h: [(a["name"], a["shape"], a["dtype"]) for a in h["arrays"]])
@@ -333,17 +325,34 @@ class ConvNetClassifier:
                 f"expected {CHECKPOINT_VERSION}; rerun train-base")
         try:
             model = cls(**header["hyper"])
-            model.set_eval_state(arrays)
             model.norm_frozen = header["norm_frozen"]
-            stored = {pre: {n[len(pre):]: a for n, a in arrays.items() if n.startswith(pre)}
-                      for pre in ("fisher.", "anchor.")}
-            if header["has_fisher"]:
-                model._fisher = stored["fisher."]
-            if header["has_anchor"]:
-                model._anchor = stored["anchor."]
-                for a in model._anchor.values():
-                    a.setflags(write=False)
+            tables = [t for t in ("fisher", "anchor") if header[f"has_{t}"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path} does not hold the model its header describes: "
                               f"{exc!r}") from None
+        params = model.named_params()
+        expected = {**params, **model.running_stats(),
+                    **{f"{t}.{n}": p for t in tables for n, p in params.items()}}
+        for name in sorted(expected.keys() | arrays.keys()):
+            want, got = expected.get(name), arrays.get(name)
+            if want is None:
+                raise ConfigError(f"{path} holds an array {name}, which the model its header "
+                                  f"describes does not have")
+            if got is None:
+                raise ConfigError(f"{path} has no array {name}")
+            if (got.shape, got.dtype) != (want.shape, want.dtype):
+                raise ConfigError(f"{path} stores {name} as {got.dtype} of shape {got.shape}, "
+                                  f"but the model's is {want.dtype} of shape {want.shape}")
+            if not np.isfinite(got).all():
+                raise ConfigError(f"{path} holds a non-finite value in {name}")
+        model.set_eval_state(arrays)
+        for t in tables:
+            setattr(model, t, _read_only({n: arrays[f"{t}.{n}"] for n in params}))
         return model
+
+
+def _read_only(arrays):
+    """`arrays`, a name -> array map, with each array locked against writes."""
+    for a in arrays.values():
+        a.setflags(write=False)
+    return arrays

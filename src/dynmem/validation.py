@@ -3,6 +3,8 @@ container that checkpoints and corpus splits are written in."""
 from __future__ import annotations
 
 import json
+import math
+import operator
 import os
 
 import numpy as np
@@ -83,9 +85,10 @@ def read_container(path, magic, what, layout):
     """Read a file written by write_container. layout(header) lists the
     arrays as (name, shape, dtype) in file order. Returns (header, arrays).
 
-    Every field is read by its exact byte count: a foreign, truncated or
-    over-long file, or a header that is not the expected JSON, raises
-    ConfigError naming the path.
+    Each array is read straight into its own array, once the arrays' byte
+    counts are known to fill the rest of the file exactly: a foreign,
+    truncated or over-long file, or a header that is not the expected JSON,
+    raises ConfigError naming the path.
     """
     with open(path, "rb") as f:
         def take(n_bytes, field):
@@ -100,13 +103,21 @@ def read_container(path, magic, what, layout):
         raw_header = take(int.from_bytes(take(8, "header length"), "little"), "header")
         try:
             header = json.loads(raw_header)
-            specs = [(name, tuple(shape), np.dtype(dt)) for name, shape, dt in layout(header)]
+            specs = [(name, tuple(map(operator.index, shape)), np.dtype(dt))
+                     for name, shape, dt in layout(header)]
+            if len({name for name, _, _ in specs}) < len(specs):
+                raise ValueError("an array name repeats")
+            if any(min(shape, default=0) < 0 or dt.hasobject for _, shape, dt in specs):
+                raise ValueError("an array has a negative dimension or an object dtype")
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{path} has a malformed header: {exc}") from None
-        arrays = {}
-        for name, shape, dt in specs:
-            raw = take(int(np.prod(shape, dtype=np.int64)) * dt.itemsize, f"array {name}")
-            arrays[name] = np.frombuffer(raw, dtype=dt).reshape(shape).copy()
-        if f.read(1):
+        need = sum(math.prod(shape) * dt.itemsize for _, shape, dt in specs)
+        remain = os.fstat(f.fileno()).st_size - f.tell()
+        if need > remain:
+            raise ConfigError(f"{path} is truncated: its arrays need {need} bytes, "
+                              f"{remain} remain")
+        if need < remain:
             raise ConfigError(f"{path} has bytes past its last array")
+        arrays = {name: np.fromfile(f, dt, math.prod(shape)).reshape(shape)
+                  for name, shape, dt in specs}
     return header, arrays

@@ -76,9 +76,8 @@ def mean_of(suite, label, key):
 def task_b_drop(result):
     """Task-B test-accuracy drop from its own checkpoint (end of B's pure
     segment) to the end of the stream: the B term of bwt, negated."""
-    b = TASKS.index("B")
-    return (result.rmatrix[ev.R_ROWS.index("after_B"), b]
-            - result.rmatrix[ev.R_ROWS.index("after_C"), b])
+    b, rmatrix = TASKS.index("B"), result.summary["rmatrix"]
+    return rmatrix[ev.R_ROWS.index("after_B")][b] - rmatrix[ev.R_ROWS.index("after_C")][b]
 
 
 def learning_curve_area(result, task, after_step):

@@ -15,6 +15,8 @@ import dynmem
 from dynmem.cli import _config_and_corpus, build_parser, main
 from dynmem.data import SPLITS
 from dynmem.experiment import ExperimentConfig, usable_cores
+from dynmem.model import CHECKPOINT_MAGIC
+from dynmem.validation import read_container, write_container
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +167,18 @@ def test_old_checkpoint_version_is_runtime_error_naming_the_file(workspace, tmp_
     assert str(old / "base_seed0.ckpt") in err and "version 2" in err
 
 
+def edit_header(src, dst, edit):
+    """Copy the container at `src` to `dst`, with `edit` applied to its JSON header."""
+    blob = src.read_bytes()
+    at = blob.index(b"\n") + 1  # the magic ends with a newline
+    length = int.from_bytes(blob[at : at + 8], "little")
+    header = json.loads(blob[at + 8 : at + 8 + length])
+    edit(header)
+    edited = json.dumps(header, sort_keys=True).encode() + b"\n"
+    dst.write_bytes(blob[:at] + len(edited).to_bytes(8, "little") + edited
+                    + blob[at + 8 + length :])
+
+
 def drop_hyper(header):
     del header["hyper"]
 
@@ -196,13 +210,7 @@ def test_checkpoint_header_not_matching_a_model_is_runtime_error_naming_the_file
     corpus, out = workspace
     bad = tmp_path / "bad"
     bad.mkdir()
-    blob = (out / "base_seed0.ckpt").read_bytes()
-    magic, length = blob[:8], int.from_bytes(blob[8:16], "little")
-    header = json.loads(blob[16 : 16 + length])
-    edit(header)
-    edited = json.dumps(header, sort_keys=True).encode() + b"\n"
-    (bad / "base_seed0.ckpt").write_bytes(
-        magic + len(edited).to_bytes(8, "little") + edited + blob[16 + length :])
+    edit_header(out / "base_seed0.ckpt", bad / "base_seed0.ckpt", edit)
     capsys.readouterr()
     assert run_continual(corpus, tmp_path / "res", "--strategy", "naive",
                          "--base", str(bad)) == 1
@@ -452,6 +460,89 @@ def test_checkpoint_of_another_image_size_is_runtime_error_naming_both(workspace
     assert "16-pixel" in err and "32-pixel" in err
 
 
+def shrink_a_running_mean(arrays):
+    arrays["b1.norm1.running_mean"] = arrays["b1.norm1.running_mean"][:1]  # would broadcast
+
+
+def drop_the_fisher_of_the_head_bias(arrays):
+    del arrays["fisher.head.bias"]
+
+
+def nan_head_bias(arrays):
+    arrays["head.bias"][0] = np.nan
+
+
+def inf_in_the_anchor(arrays):
+    arrays["anchor.b2.conv1.weight"][0, 0, 0, 0] = np.inf
+
+
+def add_an_array(arrays):
+    arrays["b5.conv1.weight"] = np.zeros(3, np.float32)
+
+
+@pytest.mark.parametrize("edit, strategy, named", [
+    (shrink_a_running_mean, "naive", "b1.norm1.running_mean"),
+    (drop_the_fisher_of_the_head_bias, "ewc", "fisher.head.bias"),
+    (nan_head_bias, "naive", "head.bias"),
+    (inf_in_the_anchor, "ewc", "anchor.b2.conv1.weight"),
+    (add_an_array, "naive", "b5.conv1.weight"),
+])
+def test_checkpoint_not_holding_exactly_its_model_with_finite_values_is_runtime_error(
+        workspace, tmp_path, capsys, edit, strategy, named):
+    """Each array is checked at load: a shape that would broadcast, a missing
+    Fisher entry and a non-finite value all end before the first step."""
+    corpus, out = workspace
+    path = tmp_path / "bad" / "base_seed0.ckpt"
+    path.parent.mkdir()
+    header, arrays = read_container(
+        out / "base_seed0.ckpt", CHECKPOINT_MAGIC, "model checkpoint",
+        lambda h: [(a["name"], a["shape"], a["dtype"]) for a in h["arrays"]])
+    edit(arrays)
+    names = sorted(arrays)
+    header["arrays"] = [{"name": n, "shape": list(arrays[n].shape), "dtype": arrays[n].dtype.name}
+                        for n in names]
+    write_container(path, CHECKPOINT_MAGIC, header, [arrays[n] for n in names])
+    capsys.readouterr()
+    assert run_continual(corpus, tmp_path / "res", "--strategy", strategy,
+                         "--base", str(path.parent)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} ") and f" {named}" in err and err.count("\n") == 1
+    assert not (tmp_path / "res").exists()
+
+
+def test_split_of_a_corpus_of_another_seed_is_runtime_error_naming_both_seeds(
+        workspace, tmp_path, capsys):
+    """The config hash leaves the seed out, so only the seed tells the splits apart."""
+    corpus, _ = workspace
+    other, mixed = tmp_path / "other", tmp_path / "mixed"
+    assert main(["generate", "--out", str(other), "--seed", "4", "--base-n", "24",
+                 "--cont-a", "24", "--cont-b", "16", "--cont-c", "24", "--eval-n", "8"]) == 0
+    shutil.copytree(corpus, mixed)
+    shutil.copy(other / "base.dmc", mixed / "base.dmc")
+    capsys.readouterr()
+    assert main(["train-base", "--corpus", str(mixed), "--out", str(tmp_path / "out"),
+                 "--seeds", "1", "--base-epochs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {mixed / 'base.dmc'} was written with seed 4, but "
+                   f"{mixed / 'manifest.json'} has seed 3\n")
+
+
+def test_split_header_claiming_more_than_its_file_holds_is_refused_before_a_read(
+        workspace, tmp_path, capsys):
+    """A count of 10**12 is compared with the file's size; no array is allocated."""
+    corpus, _ = workspace
+    bad = tmp_path / "corpus"
+    shutil.copytree(corpus, bad)
+    path = bad / "base.dmc"
+    edit_header(corpus / "base.dmc", path, lambda header: header.update(count=10**12))
+    capsys.readouterr()
+    assert main(["train-base", "--corpus", str(bad), "--out", str(tmp_path / "out"),
+                 "--seeds", "1", "--base-epochs", "1"]) == 1
+    need, remain = 10**12 * (8 + 1 + 1 + 4 * 32 * 32), 24 * (8 + 1 + 1 + 4 * 32 * 32)
+    assert capsys.readouterr().err == (f"error: {path} is truncated: its arrays need {need} "
+                                       f"bytes, {remain} remain\n")
+
+
 def test_image_size_too_small_for_the_sprite_is_runtime_error_naming_the_minimum(tmp_path,
                                                                                  capsys):
     out = tmp_path / "corpus"
@@ -639,24 +730,3 @@ def test_diverging_stream_exits_1_naming_step_and_flags(workspace, tmp_path, fla
     assert all(flag in err for flag in named) and "Traceback" not in err
     assert "RuntimeWarning" not in err  # the error is the only report
     assert not (tmp_path / "res").exists()  # no results computed from a NaN model
-
-
-def test_traced_dm_run_records_every_insert_and_the_kept_items(workspace, tmp_path):
-    """perfbench's tracer still runs a dm command: it wraps the memory and
-    strategy methods and reads `InsertOutcome.kind` and `memory.items[*].step`."""
-    corpus, out = workspace
-    root = Path(dynmem.__file__).parents[2]
-    spans = tmp_path / "spans.npz"
-    proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "tracing.py"), str(spans), "continual",
-         "--corpus", str(corpus), "--out", str(tmp_path / "res"), "--base", str(out),
-         "--seed", "0", "--seeds", "1", "--probe-every", "5", "--strategy", "dm",
-         "--memory", "8", "--recompute-signatures"],
-        env=dict(os.environ, PYTHONPATH=str(root / "src")), capture_output=True, text=True,
-        timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    with np.load(spans) as f:
-        span, tag = f["names"][f["name"]], f["tag"]
-    inserts = int(np.sum(span == "memory.insert"))
-    assert inserts == 24 + 16 + 24  # the workspace stream: --cont-a, --cont-b, --cont-c
-    assert 1 <= int(tag[span == "strategies.step"].sum()) <= inserts

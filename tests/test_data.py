@@ -313,6 +313,39 @@ def test_zero_width_ramp_is_an_abrupt_shift(corpus):
     np.testing.assert_array_equal(np.sort(order), np.arange(len(corpus.continuous)))
 
 
+class StateAtFirstPermutation:
+    """A generator that remembers its state at its first `permutation` call."""
+
+    def __init__(self, seed):
+        self.rng, self.state = np.random.default_rng(seed), None
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def permutation(self, x):
+        if self.state is None:
+            self.state = self.rng.bit_generator.state
+        return self.rng.permutation(x)
+
+
+@pytest.mark.parametrize("counts", [(600, 400, 950), (7, 3, 11), (1, 1, 1)])
+@pytest.mark.parametrize("ramp_fraction", [0.0, 0.15, 0.3, 0.49])
+def test_stream_order_is_the_per_sample_pop_loop(counts, ramp_fraction):
+    """Each task's positions take its shuffled samples from the end: the order
+    that popping one sample per position from per-task lists gave, from the
+    same draws."""
+    continuous = stand_in(counts)
+    for seed in (0, 1, 7, 123):
+        rng = StateAtFirstPermutation(seed)
+        order, _ = emit_stream(continuous, ramp_fraction, rng)
+        replay = np.random.default_rng()
+        replay.bit_generator.state = rng.state
+        pools = [list(replay.permutation(np.nonzero(continuous.tasks == t)[0])) for t in TASKS]
+        expected = [pools[TASKS.index(t)].pop() for t in continuous.tasks[order]]
+        assert order.tobytes() == np.array(expected, dtype=np.int64).tobytes()
+        assert rng.rng.bit_generator.state == replay.bit_generator.state  # no draw more
+
+
 def test_stream_without_a_task_raises():
     with pytest.raises(ConfigError, match="no samples of task B"):
         emit_stream(stand_in((10, 0, 10)), 0.15, np.random.default_rng(0))
@@ -415,6 +448,41 @@ def test_corpus_load_rejects_a_value_the_generator_never_writes_naming_the_file(
     with pytest.raises(ConfigError, match=re.escape(str(path)) + f" holds {field} outside"):
         load_corpus(tmp_path / "corpus")
     assert load_corpus(tmp_path / "corpus", ("base", "test")).validation is None
+
+
+@pytest.mark.parametrize("arrays, problem", [
+    ([["a", [-2, -1], "float32"]], "negative dimension"),
+    ([["a", [2.0], "float32"]], "integer"),
+    ([["a", [2], "O"]], "object dtype"),
+    ([["a", [1], "float64"], ["a", [1], "float64"]], "name repeats"),
+])
+def test_container_header_with_arrays_that_cannot_be_read_is_malformed(tmp_path, arrays,
+                                                                        problem):
+    path = tmp_path / "odd.dmc"
+    write_container(path, CORPUS_MAGIC, {"arrays": arrays}, [np.zeros(2)])
+    with pytest.raises(ConfigError, match=re.escape(f"{path} has a malformed header: ")
+                       + f".*{problem}"):
+        read_container(path, CORPUS_MAGIC, "corpus container", lambda header: header["arrays"])
+
+
+@pytest.mark.parametrize("key, value", [("seed", 4), ("image_size", 16)])
+def test_corpus_load_rejects_a_split_of_another_seed_or_size_naming_both(tmp_path, corpus,
+                                                                          key, value):
+    """The config hash leaves the seed out, so a split copied from a corpus of
+    another seed would otherwise load, with ids that overlap the other splits."""
+    save_corpus(corpus, tmp_path / "corpus")
+    path = tmp_path / "corpus" / "base.dmc"
+    header, arrays = read_container(path, CORPUS_MAGIC, "corpus container", _split_layout)
+    header[key] = value
+    if key == "image_size":  # the arrays follow the header
+        arrays["pixels"] = arrays["pixels"][:, :, :value, :value]
+    write_container(path, CORPUS_MAGIC, header, [arrays[name] for name, _ in CORPUS_FIELDS])
+    manifest = json.loads((tmp_path / "corpus" / "manifest.json").read_text())
+    want = manifest["seed"] if key == "seed" else manifest["config"]["image_size"]
+    with pytest.raises(ConfigError, match=re.escape(f"{path} was written with {key} {value}, "
+                                                    f"but ") + f".*manifest.json has {key} {want}"):
+        load_corpus(tmp_path / "corpus")
+    assert load_corpus(tmp_path / "corpus", ("test",)).base is None
 
 
 @pytest.mark.parametrize("fraction", [0.5, -0.1, float("nan"), 0.6, 1.0])

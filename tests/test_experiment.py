@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import re
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from dynmem import evaluation as ev
 from dynmem import experiment
 from dynmem.data import CorpusConfig, build_corpus
 from dynmem.evaluation import R_ROWS
-from dynmem.experiment import (ExperimentConfig, map_seeds, run_base_training, run_continual,
-                               run_full_training, usable_cores)
-from dynmem.strategies import NaiveStrategy
+from dynmem.experiment import (ExperimentConfig, RunResult, map_seeds, run_base_training,
+                               run_continual, run_full_training, usable_cores)
+from dynmem.strategies import DMStrategy, EWCStrategy, NaiveStrategy
 from dynmem.validation import ConfigError
 
 TINY = CorpusConfig(base_count=40, continuous_counts=(40, 24, 40), eval_count=16)
@@ -112,28 +113,38 @@ def test_run_continual_is_deterministic(corpus, cfg, base_model):
     a = run_continual(corpus, base_model, "dm", cfg, seed=0)
     b = run_continual(corpus, base_model, "dm", cfg, seed=0)
     assert a.rows == b.rows
-    np.testing.assert_array_equal(a.rmatrix, b.rmatrix)
+    assert a.summary == b.summary
     assert a.memory_dump == b.memory_dump
 
 
-def test_stream_order_is_strategy_independent(corpus, cfg, base_model):
-    ids = [run_continual(corpus, base_model, name, cfg, seed=0).stream_ids
-           for name in ("naive", "ewc", "dm")]
-    np.testing.assert_array_equal(ids[0], ids[1])
-    np.testing.assert_array_equal(ids[0], ids[2])
+def test_stream_order_is_strategy_independent(corpus, cfg, base_model, monkeypatch):
+    batches = {}  # strategy name -> the batches its `step` received
+    for cls in (NaiveStrategy, EWCStrategy, DMStrategy):
+        def recording_step(self, images, labels, tasks=None, rng=None, _step=cls.step):
+            batches.setdefault(self.name, []).append(
+                (images.tobytes(), labels.tobytes(), tasks.tolist()))
+            return _step(self, images, labels, tasks, rng=rng)
+        monkeypatch.setattr(cls, "step", recording_step)
+    for name in ("naive", "ewc", "dm"):
+        run_continual(corpus, base_model, name, cfg, seed=0)
+    assert len(batches["naive"]) == (40 + 24 + 40) // cfg.input_batch_size
+    assert batches["naive"] == batches["ewc"] == batches["dm"]
 
 
 def test_run_continual_result_schema(corpus, cfg, base_model):
     result = run_continual(corpus, base_model, "ewc-fbn", cfg, seed=0)
-    assert result.rmatrix.shape == (len(R_ROWS), 3)
-    assert np.all(np.isfinite(result.rmatrix))
-    for key in ("acc_A", "acc_B", "acc_C", "bwt", "fwt", "rmatrix", "config_hash"):
+    assert [f.name for f in fields(RunResult)] == ["rows", "summary", "memory_dump"]
+    rmatrix = np.array(result.summary["rmatrix"])
+    assert rmatrix.shape == (len(R_ROWS), 3)
+    assert np.all(np.isfinite(rmatrix))
+    for key in ("strategy", "seed", "acc_A", "acc_B", "acc_C", "bwt", "fwt", "config_hash"):
         assert key in result.summary
+    assert (result.summary["strategy"], result.summary["seed"]) == ("ewc-fbn", 0)
     assert result.memory_dump is None
     # final R row feeds the summary accuracies
     np.testing.assert_allclose(
         [result.summary["acc_A"], result.summary["acc_B"], result.summary["acc_C"]],
-        result.rmatrix[-1])
+        rmatrix[-1])
 
 
 def test_run_continual_base_row_matches_base_model(corpus, cfg, base_model):
@@ -141,7 +152,7 @@ def test_run_continual_base_row_matches_base_model(corpus, cfg, base_model):
     from dynmem.evaluation import accuracy
     for t_idx, task in enumerate(("A", "B", "C")):
         ds = corpus.test.task_subset(task)
-        assert result.rmatrix[0, t_idx] == accuracy(base_model, ds.images, ds.labels)
+        assert result.summary["rmatrix"][0][t_idx] == accuracy(base_model, ds.images, ds.labels)
 
 
 def test_run_continual_leaves_base_model_untouched(corpus, cfg, base_model):
@@ -227,8 +238,7 @@ def test_jobs_the_parent_takes_back_give_the_bytes_of_a_one_core_run(corpus, cfg
     monkeypatch.setattr(experiment, "usable_cores", lambda: 1)
     alone = run_continual(corpus, base_model, strategy, cfg, seed=0)
     assert ev.rows_to_csv(shared.rows) == ev.rows_to_csv(alone.rows)  # metrics.csv
-    assert json.dumps(shared.summary) == json.dumps(alone.summary)  # summary.json
-    assert shared.rmatrix.tobytes() == alone.rmatrix.tobytes()
+    assert json.dumps(shared.summary) == json.dumps(alone.summary)  # summary.json, R-matrix too
     assert shared.memory_dump == alone.memory_dump
 
 

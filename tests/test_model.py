@@ -324,6 +324,27 @@ def test_anchor_is_one_shot_and_write_protected(small_model):
         anchor["head.weight"][0, 0] = 1.0
 
 
+def test_clones_share_the_read_only_fisher_and_anchor(tmp_path, small_model, images16):
+    """A clone, of a trained model or of a loaded checkpoint, holds the very
+    Fisher and anchor maps of its source, locked; its parameters are its own."""
+    y = np.array([0, 1, 0, 1, 0, 1])
+    small_model.fisher_diagonal(images16, y)
+    small_model.snapshot_anchor()
+    small_model.save(tmp_path / "model.ckpt")
+    for source in (small_model, ConvNetClassifier.load(tmp_path / "model.ckpt")):
+        clone = source.clone()
+        assert clone.fisher is source.fisher and clone.anchor is source.anchor
+        for table in (clone.fisher, clone.anchor):
+            assert set(table) == set(clone.named_params())
+            assert not any(a.flags.writeable for a in table.values())
+        with pytest.raises(ValueError):
+            clone.fisher["head.bias"][0] = 1.0
+        clone.train_step(images16, y)
+        for name, p in source.named_params().items():
+            assert p.tobytes() == source.anchor[name].tobytes(), name
+        assert clone.named_params()["head.bias"] != source.anchor["head.bias"]
+
+
 # -- checkpoints -----------------------------------------------------------
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path, small_model, images16):

@@ -56,5 +56,6 @@ def test_traced_dm_run_counts_each_sample_insert(traced):
     still count single samples: one `insert` span per sample, tagged when it
     replaced, and the step's tag counting the samples still stored."""
     dm = traced["dm"]
+    assert dm["memory.insert_calls"] == 16 + 16 + 32  # the stream: --cont-a, --cont-b, --cont-c
     assert dm["memory.replaced"] > 0 and dm["gram.distance_calls"] > 0
     assert 0 < dm["memory.insert_kept_ratio"] <= 1

@@ -44,8 +44,8 @@ class ConvNetClassifier:
         self.random_state = random_state
         self._build(np.random.default_rng(random_state))
         self.norm_frozen = False
-        self.fisher = None  # EWC's Fisher diagonal and anchor: name -> read-only array
-        self.anchor = None
+        self._anchor = None  # EWC's anchor and Fisher diagonal: name -> read-only array
+        self._fisher = None
         self.reset_optimizer()
 
     # -- construction ------------------------------------------------------
@@ -105,7 +105,7 @@ class ConvNetClassifier:
 
     def clone(self):
         """An independent copy that shares the read-only Fisher and anchor maps."""
-        return copy.deepcopy(self, {id(self.fisher): self.fisher, id(self.anchor): self.anchor})
+        return copy.deepcopy(self, {id(self._fisher): self._fisher, id(self._anchor): self._anchor})
 
     def eval_state(self):
         """Copies of what an eval-mode forward reads: parameters and running statistics."""
@@ -268,24 +268,32 @@ class ConvNetClassifier:
             grad = dlogits.astype(self.dtype)[:, None]
             for layer, sq in zip(reversed(self.layers), reversed(sums)):
                 grad = layer.backward(grad, sq)
-        self.fisher = _read_only({f"{lname}.{name}": (f / len(y)).astype(self.dtype)
-                                  for lname, layer_sums in zip(self.layer_names, sums)
-                                  for name, f in layer_sums.items()})
-        return self.fisher
+        self._fisher = _read_only({f"{lname}.{name}": (f / len(y)).astype(self.dtype)
+                                   for lname, layer_sums in zip(self.layer_names, sums)
+                                   for name, f in layer_sums.items()})
+        return self._fisher
+
+    @property
+    def fisher(self):
+        return self._fisher
+
+    @property
+    def anchor(self):
+        return self._anchor
 
     def snapshot_anchor(self):
         """Store an immutable copy of the current parameters. One-shot."""
-        if self.anchor is not None:
+        if self._anchor is not None:
             raise StateError("anchor already snapshotted")
-        self.anchor = _read_only({name: p.copy() for name, p in self.named_params().items()})
-        return self.anchor
+        self._anchor = _read_only({name: p.copy() for name, p in self.named_params().items()})
+        return self._anchor
 
     # -- checkpoint IO -----------------------------------------------------
 
     def _checkpoint_arrays(self):
         arrays = dict(self.named_params())
         arrays.update(self.running_stats())
-        for prefix, table in (("fisher.", self.fisher), ("anchor.", self.anchor)):
+        for prefix, table in (("fisher.", self._fisher), ("anchor.", self._anchor)):
             arrays.update({prefix + n: a for n, a in (table or {}).items()})
         return arrays
 
@@ -298,8 +306,8 @@ class ConvNetClassifier:
             "version": CHECKPOINT_VERSION,
             "hyper": self.get_params(),
             "norm_frozen": self.norm_frozen,
-            "has_fisher": self.fisher is not None,
-            "has_anchor": self.anchor is not None,
+            "has_fisher": self._fisher is not None,
+            "has_anchor": self._anchor is not None,
             "seed_provenance": seed_provenance,
             "arrays": [
                 {"name": n, "shape": list(arrays[n].shape), "dtype": arrays[n].dtype.name}
@@ -347,7 +355,7 @@ class ConvNetClassifier:
                 raise ConfigError(f"{path} holds a non-finite value in {name}")
         model.set_eval_state(arrays)
         for t in tables:
-            setattr(model, t, _read_only({n: arrays[f"{t}.{n}"] for n in params}))
+            setattr(model, f"_{t}", _read_only({n: arrays[f"{t}.{n}"] for n in params}))
         return model
 
 

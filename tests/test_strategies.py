@@ -150,7 +150,7 @@ def test_ewc_huge_lambda_pins_parameters_to_anchor():
     model.learning_rate = 1e-5
     model.reset_optimizer()
     # uniform Fisher so that every parameter feels the penalty
-    model.fisher = {n: np.ones_like(p) for n, p in model.named_params().items()}
+    model._fisher = {n: np.ones_like(p) for n, p in model.named_params().items()}
     strat = EWCStrategy(model, ewc_lambda=1e9)
     rng = np.random.default_rng(8)
     for i in range(100):

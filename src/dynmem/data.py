@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,9 @@ CORPUS_MAGIC = b"DMCORPUS1\n"
 CORPUS_FIELDS = (("ids", "int64"), ("tasks", "uint8"), ("labels", "uint8"),
                  ("pixels", "float32"))
 SPLITS = ("base", "continuous", "validation", "test")
+# the values save_corpus writes: task codes index TASKS, labels are 0 or 1, pixels lie in [0, 1]
+VALUE_RANGES = {"tasks": (0, len(TASKS) - 1), "labels": (0, 1), "pixels": (0.0, 1.0)}
+CHECK_BYTES = 1 << 18  # pixel bytes per read when load_corpus checks a whole split
 
 
 def check_ramp_fraction(ramp_fraction):
@@ -68,7 +72,7 @@ class CorpusConfig:
 class Dataset:
     """A labeled split; tasks ride along for evaluation-only diagnostics."""
 
-    images: np.ndarray  # (N, 1, S, S) float32 in [0, 1]
+    images: np.ndarray  # (N, 1, S, S) float32 in [0, 1]; a FileArray once loaded
     labels: np.ndarray  # (N,) uint8
     tasks: np.ndarray   # (N,) of "A"/"B"/"C"
     ids: np.ndarray     # (N,) int64, globally unique across splits
@@ -329,7 +333,7 @@ def save_corpus(corpus, out_dir):
         }
         write_container(out_dir / f"{split}.dmc", CORPUS_MAGIC, header,
                         [ds.ids.astype(np.int64), task_codes, ds.labels.astype(np.uint8),
-                         ds.images.astype(np.float32, copy=False)])
+                         np.asarray(ds.images, np.float32)])
     with open(out_dir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -341,22 +345,25 @@ def _split_layout(header):
     return [(name, shapes.get(name, (count,)), dt) for name, dt in CORPUS_FIELDS]
 
 
-def _check_values(path, a):
-    """Refuse a split with a value that save_corpus never writes: a task code
-    that is not an index of TASKS, a label other than 0 or 1, or a pixel
-    outside [0, 1], NaN included."""
-    for name, low, high in (("tasks", 0, len(TASKS) - 1), ("labels", 0, 1),
-                            ("pixels", 0.0, 1.0)):
-        lo, hi = a[name].min(initial=low), a[name].max(initial=high)
-        if not (low <= lo and hi <= high):  # a NaN fails both
-            raise ConfigError(f"{path} holds {name} outside [{low}, {high}]: "
-                              f"they range from {lo} to {hi}")
+def _check_values(path, name, values):
+    """Refuse a split's `name` values where one is not what save_corpus
+    writes (VALUE_RANGES); a NaN pixel is refused too."""
+    low, high = VALUE_RANGES[name]
+    lo, hi = values.min(initial=low), values.max(initial=high)
+    if not (low <= lo and hi <= high):  # a NaN fails both
+        raise ConfigError(f"{path} holds {name} outside [{low}, {high}]: "
+                          f"they range from {lo} to {hi}")
 
 
 def load_corpus(corpus_dir, splits=SPLITS):
     """Load the named splits of a corpus written by save_corpus, validating
     each split's config hash, seed and image size against the manifest, and
-    its values; the splits not named are None."""
+    its values; the splits not named are None.
+
+    A split's pixels stay in its file, as a FileArray: indexing its `images`
+    reads only the images named, and every read checks its values again, so
+    a file damaged after loading is refused at the read that meets it.
+    """
     corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / "manifest.json"
     if not manifest_path.exists():
@@ -375,13 +382,19 @@ def load_corpus(corpus_dir, splits=SPLITS):
     loaded = dict.fromkeys(SPLITS)
     for split in splits:
         path = corpus_dir / f"{split}.dmc"
-        header, a = read_container(path, CORPUS_MAGIC, "corpus container", _split_layout)
+        header, a = read_container(path, CORPUS_MAGIC, "corpus container", _split_layout,
+                                   {"pixels": partial(_check_values, path, "pixels")})
         if header.get("config_hash") != config_hash:
             raise ConfigError(f"{path} config hash differs from the manifest")
         for key, want in (("seed", seed), ("image_size", cfg.image_size)):
             if header.get(key) != want:
                 raise ConfigError(f"{path} was written with {key} {header.get(key)}, but "
                                   f"{manifest_path} has {key} {want}")
-        _check_values(path, a)
-        loaded[split] = Dataset(a["pixels"], a["labels"], np.array(TASKS)[a["tasks"]], a["ids"])
+        for name in ("tasks", "labels"):
+            _check_values(path, name, a[name])
+        pixels = a["pixels"]
+        rows = max(1, CHECK_BYTES // (pixels.dtype.itemsize * cfg.image_size ** 2))
+        for start in range(0, len(pixels), rows):
+            pixels[start : start + rows]  # each read checks its values
+        loaded[split] = Dataset(pixels, a["labels"], np.array(TASKS)[a["tasks"]], a["ids"])
     return Corpus(**loaded, config=cfg, seed=seed)

@@ -6,6 +6,7 @@ import json
 import math
 import operator
 import os
+import weakref
 
 import numpy as np
 
@@ -81,22 +82,74 @@ def write_container(path, magic, header, arrays):
             f.write(np.ascontiguousarray(a).tobytes())
 
 
-def read_container(path, magic, what, layout):
+class FileArray:
+    """A read-only array that stays in its file, read by rows of its first axis.
+
+    Indexing with an int array, a slice or a boolean mask reads only the rows
+    it names, and np.asarray reads them all. Each run of consecutive rows is
+    one os.preadv at its own offset, so processes forked with the descriptor
+    read at once without sharing a file position. Every read passes
+    `check(values)` before it is returned; a file that has shrunk since it was
+    opened is refused as truncated. close(), or dropping the array, closes the
+    descriptor.
+    """
+
+    def __init__(self, path, fd, offset, shape, dtype, check):
+        self.path, self.shape, self.dtype = path, shape, dtype
+        self._fd, self._offset, self._check = fd, offset, check
+        self._row_bytes = math.prod(shape[1:]) * dtype.itemsize
+        self.close = weakref.finalize(self, os.close, fd)
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, index):
+        rows = np.arange(len(self))[index]  # numpy's rules and bounds checks for the index
+        out = np.empty(rows.shape + self.shape[1:], self.dtype)
+        rows, buf = rows.reshape(-1), out.reshape(-1).view(np.uint8)
+        starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)  # the first row of each run
+        for first, stop in zip(starts, [*starts[1:], len(rows)]):
+            self._read_into(buf[first * self._row_bytes : stop * self._row_bytes],
+                            self._offset + int(rows[first]) * self._row_bytes)
+        self._check(out)
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        """The whole array, read afresh: every read is a new array, whatever `copy` asks."""
+        return self[:] if dtype is None else self[:].astype(dtype, copy=False)
+
+    def _read_into(self, buf, offset):
+        if not self.close.alive:  # its descriptor's number may name another file by now
+            raise StateError(f"{self.path} was read after its FileArray was closed")
+        while buf.size:
+            got = os.preadv(self._fd, [buf], offset)
+            if not got:
+                raise ConfigError(f"{self.path} is truncated: a read at byte {offset} needs "
+                                  f"{buf.size} more bytes, which the file no longer holds")
+            buf, offset = buf[got:], offset + got
+
+
+def read_container(path, magic, what, layout, in_file=None):
     """Read a file written by write_container. layout(header) lists the
     arrays as (name, shape, dtype) in file order. Returns (header, arrays).
 
     Each array is read straight into its own array, once the arrays' byte
     counts are known to fill the rest of the file exactly: a foreign,
     truncated or over-long file, or a header that is not the expected JSON,
-    raises ConfigError naming the path.
+    raises ConfigError naming the path. An array named in `in_file`, a dict
+    of name -> check, stays in the file: it is a FileArray on a descriptor of
+    its own, whose every read passes check(values).
     """
+    in_file = in_file or {}
     with open(path, "rb") as f:
-        def take(n_bytes, field):
-            chunk = f.read(n_bytes)
-            if len(chunk) != n_bytes:
+        def left():
+            return os.fstat(f.fileno()).st_size - f.tell()
+
+        def take(n_bytes, field):  # compared with the file first, so no length is trusted
+            if n_bytes > left():
                 raise ConfigError(f"{path} is truncated: {field} needs {n_bytes} bytes, "
-                                  f"{len(chunk)} remain")
-            return chunk
+                                  f"{left()} remain")
+            return f.read(n_bytes)
 
         if f.read(len(magic)) != magic:
             raise ConfigError(f"{path} is not a {what}")
@@ -111,13 +164,19 @@ def read_container(path, magic, what, layout):
                 raise ValueError("an array has a negative dimension or an object dtype")
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{path} has a malformed header: {exc}") from None
-        need = sum(math.prod(shape) * dt.itemsize for _, shape, dt in specs)
-        remain = os.fstat(f.fileno()).st_size - f.tell()
+        need, remain = sum(math.prod(shape) * dt.itemsize for _, shape, dt in specs), left()
         if need > remain:
             raise ConfigError(f"{path} is truncated: its arrays need {need} bytes, "
                               f"{remain} remain")
         if need < remain:
             raise ConfigError(f"{path} has bytes past its last array")
-        arrays = {name: np.fromfile(f, dt, math.prod(shape)).reshape(shape)
-                  for name, shape, dt in specs}
+        arrays, offset = {}, f.tell()
+        for name, shape, dt in specs:
+            if name in in_file:
+                arrays[name] = FileArray(path, os.dup(f.fileno()), offset, shape, dt,
+                                         in_file[name])
+            else:
+                f.seek(offset)
+                arrays[name] = np.fromfile(f, dt, math.prod(shape)).reshape(shape)
+            offset += math.prod(shape) * dt.itemsize
     return header, arrays

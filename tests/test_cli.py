@@ -13,7 +13,7 @@ import pytest
 
 import dynmem
 from dynmem.cli import _config_and_corpus, build_parser, main
-from dynmem.data import SPLITS
+from dynmem.data import SPLITS, load_corpus
 from dynmem.experiment import ExperimentConfig, usable_cores
 from dynmem.model import CHECKPOINT_MAGIC
 from dynmem.validation import read_container, write_container
@@ -356,9 +356,11 @@ def test_config_file_values_are_typed_and_explicit_flags_win(workspace, tmp_path
 
 
 @pytest.mark.parametrize("target", ["base_seed0.ckpt", "continuous.dmc"])
-@pytest.mark.parametrize("where", ["header", "arrays"])
+@pytest.mark.parametrize("where", ["header", "arrays", "header-length"])
 def test_truncated_file_is_runtime_error_naming_the_file(workspace, tmp_path, capsys,
                                                           target, where):
+    """A file cut short in its header or its arrays, or whose 8-byte header
+    length claims 10**15 bytes, which is compared with the file before a read."""
     corpus, out = workspace
     bad_corpus, bad_base = tmp_path / "corpus", tmp_path / "base"
     shutil.copytree(corpus, bad_corpus)
@@ -366,12 +368,45 @@ def test_truncated_file_is_runtime_error_naming_the_file(workspace, tmp_path, ca
     shutil.copy(out / "base_seed0.ckpt", bad_base)
     path = (bad_base if target.endswith(".ckpt") else bad_corpus) / target
     blob = path.read_bytes()
-    path.write_bytes(blob[: blob.index(b"{") + 20 if where == "header" else len(blob) - 7])
+    at = blob.index(b"\n") + 1  # the magic ends with a newline; the length follows it
+    path.write_bytes({"header": blob[: blob.index(b"{") + 20],
+                      "arrays": blob[:-7],
+                      "header-length": blob[:at] + (10**15).to_bytes(8, "little")
+                      + blob[at + 8 :]}[where])
     capsys.readouterr()
     assert run_continual(bad_corpus, tmp_path / "res", "--strategy", "naive",
                          "--base", str(bad_base)) == 1
     err = capsys.readouterr().err
     assert str(path) in err and "truncated" in err
+    if where == "header-length":
+        assert err == (f"error: {path} is truncated: header needs {10**15} bytes, "
+                       f"{len(blob) - at - 8} remain\n")
+
+
+@pytest.mark.parametrize("split", ["continuous", "validation"])
+def test_split_damaged_after_loading_is_runtime_error_naming_the_file(
+        workspace, tmp_path, capsys, monkeypatch, split):
+    """A NaN written into the split's last image once it is loaded: the step
+    that reads it (continuous) or the first probe (validation, in the forked
+    evaluator where a core is spare) stops the run with exit 1 naming the
+    file, not with a divergence blamed on --stream-lr."""
+    corpus, out = workspace
+    bad = tmp_path / "corpus"
+    shutil.copytree(corpus, bad)
+    path = bad / f"{split}.dmc"
+
+    def load_then_damage(*args):
+        loaded = load_corpus(*args)
+        with open(path, "r+b") as f:
+            f.seek(-4, os.SEEK_END)
+            f.write(np.float32(np.nan).tobytes())
+        return loaded
+
+    monkeypatch.setattr("dynmem.cli.load_corpus", load_then_damage)
+    capsys.readouterr()
+    assert run_continual(bad, tmp_path / "res", "--strategy", "naive", "--base", str(out)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path} holds pixels outside [0.0, 1.0]")
+    assert not (tmp_path / "res").exists()
 
 
 # the corpus splits each subcommand reads, and the flags that make it quick
@@ -669,6 +704,8 @@ def differing_files(a, b):
 
 @pytest.mark.skipif(usable_cores() < 2, reason="needs two usable cores to run seeds in parallel")
 def test_seed_loops_write_the_same_bytes_on_one_core_and_on_all(workspace, tmp_path):
+    """On all cores, the seed workers and the evaluator, forked with the
+    command's split descriptors, read the same files at once."""
     corpus, _ = workspace
     trees = {"one": tmp_path / "one", "all": tmp_path / "all"}
     for name, out in trees.items():

@@ -4,17 +4,19 @@ corpus containers, including the generator calibration oracles.
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter, median_filter
 
 from dynmem import data
+from dynmem.cli import STREAM_SPLITS
 from dynmem.data import (CORPUS_FIELDS, CORPUS_MAGIC, TASKS, TASK_ATTRS, CorpusConfig,
                          Dataset, _backgrounds, _draw_placement, _imprint, _split_layout,
                          build_corpus, emit_stream, load_corpus, save_corpus)
-from dynmem.validation import (ConfigError, ShapeError, check_fits, read_container,
-                               write_container)
+from dynmem.validation import (ConfigError, ShapeError, StateError, check_fits,
+                               read_container, write_container)
 
 SMALL = CorpusConfig(base_count=60, continuous_counts=(60, 40, 90), eval_count=20)
 
@@ -353,14 +355,23 @@ def test_stream_without_a_task_raises():
 
 # -- corpus IO -------------------------------------------------------------
 
-def test_corpus_save_load_round_trip(tmp_path, corpus):
+@pytest.mark.parametrize("read", [
+    pytest.param(lambda ds: np.asarray(ds.images), id="whole"),
+    pytest.param(lambda ds: ds.images[np.array([7, 0, 1, 2, 13, -1, 7])], id="int-array"),
+    pytest.param(lambda ds: ds.images[3:-2:2], id="slice"),
+    pytest.param(lambda ds: ds.task_subset(ds.tasks[-1]).images, id="task-mask"),
+])
+def test_corpus_save_load_round_trip(tmp_path, corpus, read):
+    """A loaded split's images stay in its file; each way of reading them
+    gives the bytes of the split that build_corpus holds in memory."""
     save_corpus(corpus, tmp_path / "corpus")
     loaded = load_corpus(tmp_path / "corpus")
     assert loaded.config == corpus.config
     assert loaded.seed == corpus.seed
     for split in ("base", "continuous", "validation", "test"):
         a, b = getattr(corpus, split), getattr(loaded, split)
-        np.testing.assert_array_equal(a.images, b.images)
+        want, got = read(a), read(b)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
         np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(a.tasks, b.tasks)
         np.testing.assert_array_equal(a.ids, b.ids)
@@ -448,6 +459,52 @@ def test_corpus_load_rejects_a_value_the_generator_never_writes_naming_the_file(
     with pytest.raises(ConfigError, match=re.escape(str(path)) + f" holds {field} outside"):
         load_corpus(tmp_path / "corpus")
     assert load_corpus(tmp_path / "corpus", ("base", "test")).validation is None
+
+
+@pytest.mark.parametrize("damage", ["truncated", "nan", "above-one"])
+def test_split_damaged_after_loading_is_refused_at_the_read_that_meets_it(tmp_path, corpus,
+                                                                           damage):
+    """The last image of the continuous split is cut short, or its last pixel
+    rewritten, once load_corpus has returned: a read of it raises ConfigError
+    naming the file, and the images before it still read."""
+    save_corpus(corpus, tmp_path / "corpus")
+    images = load_corpus(tmp_path / "corpus", ("continuous",)).continuous.images
+    path = tmp_path / "corpus" / "continuous.dmc"
+    if damage == "truncated":
+        os.truncate(path, path.stat().st_size - 6)
+    else:
+        with open(path, "r+b") as f:
+            f.seek(-4, os.SEEK_END)
+            f.write(np.float32(np.nan if damage == "nan" else 1.5).tobytes())
+    problem = "is truncated" if damage == "truncated" else "holds pixels outside"
+    last = len(images) - 1
+    assert images[:last].tobytes() == corpus.continuous.images[:last].tobytes()
+    for read in (lambda: images[np.array([0, last])], lambda: images[last:],
+                 lambda: np.asarray(images)):
+        with pytest.raises(ConfigError, match=re.escape(str(path)) + f" {problem}"):
+            read()
+
+
+def test_a_closed_split_refuses_a_read_naming_the_file(tmp_path, corpus):
+    save_corpus(corpus, tmp_path / "corpus")
+    images = load_corpus(tmp_path / "corpus", ("test",)).test.images
+    images.close()
+    with pytest.raises(StateError, match=re.escape(str(tmp_path / "corpus" / "test.dmc"))):
+        images[:1]
+
+
+def test_loading_the_stream_splits_allocates_less_than_one_split(tmp_path, corpus):
+    """load_corpus checks pixels in bounded reads and keeps none of them, so it
+    never holds a whole split's pixels, let alone the three a stream reads."""
+    save_corpus(corpus, tmp_path / "corpus")
+    tracemalloc.start()
+    try:
+        loaded = load_corpus(tmp_path / "corpus", STREAM_SPLITS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(getattr(loaded, split)) for split in STREAM_SPLITS] == [190, 60, 60]
+    assert peak < max(getattr(corpus, split).images.nbytes for split in STREAM_SPLITS)
 
 
 @pytest.mark.parametrize("arrays, problem", [
